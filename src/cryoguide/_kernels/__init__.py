@@ -1,32 +1,16 @@
 """Splatting kernel backend selection.
 
-Prefers the compiled Cython extension and falls back to the pure-numpy
-implementation. Set CRYOGUIDE_KERNELS=py (or =cy) to force a backend;
-forcing `cy` raises if the extension is missing.
+Uses the compiled Cython extension when it imports and falls back to the
+pure-numpy implementation otherwise.
 """
 
-import os
+try:
+    from ._splat_cy import splat, splat_grad
 
-from . import _splat_py
+    BACKEND = "cython"
+except ImportError:
+    from ._splat_py import splat, splat_grad
 
-_forced = os.environ.get("CRYOGUIDE_KERNELS", "").strip().lower()
-
-if _forced == "py":
     BACKEND = "python"
-    splat = _splat_py.splat
-    splat_grad = _splat_py.splat_grad
-else:
-    try:
-        from . import _splat_cy
-
-        BACKEND = "cython"
-        splat = _splat_cy.splat
-        splat_grad = _splat_cy.splat_grad
-    except ImportError:
-        if _forced == "cy":
-            raise
-        BACKEND = "python"
-        splat = _splat_py.splat
-        splat_grad = _splat_py.splat_grad
 
 __all__ = ["splat", "splat_grad", "BACKEND"]

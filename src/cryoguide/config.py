@@ -152,8 +152,3 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
         apply_setting(cfg, key.strip(), value)
     return cfg
 
-
-def config_text(cfg: RunConfig) -> str:
-    """Canonical key=value dump, suitable for re-loading."""
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
-    return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,12 +104,14 @@ def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int,
                            dock_transform=transform, reference=reference)
 
 
-def _run_one_guided(args):
-    cfg, ctx, rep, j = args
-    prior, template = _prior_and_template(cfg)
-    seed = _sample_seed(cfg.seed, rep, j)
-    return sample_guided(prior, None, ctx, cfg.noise_schedule(),
-                         cfg.guidance_schedule(), template, seed)
+def _run_one_guided(task):
+    """One guided sample; a sampling failure is returned, not raised, so the
+    serial and the pooled map record it the same way."""
+    prior, template, ctx, schedule, gsched, seed = task
+    try:
+        return sample_guided(prior, None, ctx, schedule, gsched, template, seed)
+    except (SamplingError, ValueError) as exc:
+        return exc
 
 
 def run_guided(cfg: RunConfig) -> list[SampleRecord]:
@@ -131,51 +134,37 @@ def run_guided(cfg: RunConfig) -> list[SampleRecord]:
     records: list[SampleRecord] = []
     workers = _worker_count()
 
-    for rep in range(cfg.n_replicates):
-        rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
-        os.makedirs(rep_dir, exist_ok=True)
-        base_ctx = build_context(cfg, dmap, prior, rep)
-        results: dict[int, AtomicModel | Exception] = {}
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        map_tasks = pool.map if pool is not None else map
+        for rep in range(cfg.n_replicates):
+            rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
+            os.makedirs(rep_dir, exist_ok=True)
+            base_ctx = build_context(cfg, dmap, prior, rep)
 
-        def ctx_for(j: int) -> GuidanceContext:
-            if cfg.register and cfg.dock_per_sample:
-                return build_context(cfg, dmap, prior, rep,
-                                     ref_index=cfg.n_samples + 1 + j)
-            return base_ctx
+            def ctx_for(j: int) -> GuidanceContext:
+                if cfg.register and cfg.dock_per_sample:
+                    return build_context(cfg, dmap, prior, rep,
+                                         ref_index=cfg.n_samples + 1 + j)
+                return base_ctx
 
-        if workers == 1:
-            for j in range(cfg.n_samples):
-                try:
-                    seed = _sample_seed(cfg.seed, rep, j)
-                    results[j] = sample_guided(prior, None, ctx_for(j), schedule,
-                                               gsched, template, seed)
-                except (SamplingError, ValueError) as exc:
-                    results[j] = exc
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [(j, pool.submit(_run_one_guided,
-                                           (cfg, ctx_for(j), rep, j)))
-                           for j in range(cfg.n_samples)]
-                for j, fut in futures:
-                    try:
-                        results[j] = fut.result()
-                    except (SamplingError, ValueError) as exc:
-                        results[j] = exc
-
-        for j in range(cfg.n_samples):
-            out = results[j]
-            seed_key = f"{cfg.seed}:{rep}:{j}"
-            path = os.path.join(rep_dir, f"sample{j}.pdb")
-            if isinstance(out, Exception):
-                log.warning("rep %d sample %d failed: %s", rep, j, out)
-                records.append(SampleRecord(rep, j, seed_key, "", str(out),
-                                            None, None))
-                continue
-            write_pdb(out, path)
-            cc = rscc(out, dmap, cfg.resolution)
-            rmsd = evaluate(out, reference).rmsd_all if reference else None
-            records.append(SampleRecord(rep, j, seed_key, path, "ok", cc, rmsd))
-            log.info("rep %d sample %d: rscc %.4f", rep, j, cc)
+            tasks = ((prior, template, ctx_for(j), schedule, gsched,
+                      _sample_seed(cfg.seed, rep, j))
+                     for j in range(cfg.n_samples))
+            for j, out in enumerate(map_tasks(_run_one_guided, tasks)):
+                seed_key = f"{cfg.seed}:{rep}:{j}"
+                if isinstance(out, Exception):
+                    log.warning("rep %d sample %d failed: %s", rep, j, out)
+                    records.append(SampleRecord(rep, j, seed_key, "", str(out),
+                                                None, None))
+                    continue
+                path = os.path.join(rep_dir, f"sample{j}.pdb")
+                write_pdb(out, path)
+                cc = rscc(out, dmap, cfg.resolution)
+                rmsd = evaluate(out, reference).rmsd_all if reference else None
+                records.append(SampleRecord(rep, j, seed_key, path, "ok", cc,
+                                            rmsd))
+                log.info("rep %d sample %d: rscc %.4f", rep, j, cc)
 
     _write_manifest(cfg, records)
     _write_summary(cfg, records)
@@ -186,8 +175,10 @@ def run_guided(cfg: RunConfig) -> list[SampleRecord]:
 
 def run_unguided(cfg: RunConfig) -> list[SampleRecord]:
     """Unguided baseline run with the same output layout as the guided one."""
+    if cfg.map and not os.path.exists(cfg.map):
+        raise ConfigError(f"map file not found: {cfg.map}")
     prior, template = _prior_and_template(cfg)
-    dmap = read_mrc(cfg.map) if cfg.map and os.path.exists(cfg.map) else None
+    dmap = read_mrc(cfg.map) if cfg.map else None
     reference = read_pdb(cfg.reference) if cfg.reference else None
     schedule = cfg.noise_schedule()
     os.makedirs(cfg.outdir, exist_ok=True)

@@ -38,6 +38,9 @@ class DensityMap:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 3 or min(data.shape) < 1:
             raise ValueError(f"map data must be 3D and nonempty, got shape {data.shape}")
+        n_bad = data.size - np.count_nonzero(np.isfinite(data))
+        if n_bad:
+            raise ValueError(f"map data has {n_bad} non-finite voxels")
         if not self.voxel_size > 0:
             raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")
         object.__setattr__(self, "data", data)

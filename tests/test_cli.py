@@ -229,6 +229,22 @@ class TestGuide:
         assert main(["guide", "--config", str(cfg)]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_all_failed_samples_recorded_serial_and_parallel(
+            self, workdir, tmp_path, monkeypatch, capsys):
+        cfg = base_config(workdir, tmp_path, extra="lambda_local = 1e300\n")
+        manifests = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CRYOGUIDE_WORKERS", workers)
+            outdir = tmp_path / f"w{workers}"
+            assert main(["guide", "--config", str(cfg),
+                         "--set", f"outdir={outdir}"]) == 1
+            assert "all samples failed" in capsys.readouterr().err
+            manifests.append((outdir / "manifest.tsv").read_bytes())
+        assert manifests[0] == manifests[1]
+        rows = manifests[0].decode().splitlines()[1:]
+        assert len(rows) == 4
+        assert all("non-finite score" in row.split("\t")[3] for row in rows)
+
     def test_unknown_config_key(self, workdir, tmp_path, capsys):
         cfg = base_config(workdir, tmp_path)
         assert main(["guide", "--config", str(cfg),
@@ -251,6 +267,13 @@ class TestSampleCommand:
         manifest = (tmp_path / "out" / "manifest.tsv").read_text().splitlines()
         assert len(manifest) == 3
         assert manifest[1].split("\t")[4] == ""  # no map -> no rscc
+
+    def test_missing_map_fails(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text(f"outdir = {tmp_path / 'out'}\n"
+                       "map = /nonexistent/m.mrc\n")
+        assert main(["sample", "--config", str(cfg)]) == 1
+        assert "not found" in capsys.readouterr().err
 
 
 class TestVersion:

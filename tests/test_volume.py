@@ -169,6 +169,9 @@ class TestDensityMap:
             DensityMap(data=np.zeros((2, 2)), voxel_size=1.0)
         with pytest.raises(ValueError):
             DensityMap(data=np.zeros((2, 2, 2)), voxel_size=0.0)
+        with pytest.raises(ValueError, match="2 non-finite voxels"):
+            DensityMap(data=np.array([np.nan, np.inf, 0.0]).reshape(3, 1, 1),
+                       voxel_size=1.0)
 
     def test_data_read_only(self):
         m = DensityMap(data=np.zeros((2, 2, 2)), voxel_size=1.0)
