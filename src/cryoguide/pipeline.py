@@ -140,10 +140,11 @@ def run_guided(cfg: RunConfig) -> list[SampleRecord]:
         for rep in range(cfg.n_replicates):
             rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
             os.makedirs(rep_dir, exist_ok=True)
-            base_ctx = build_context(cfg, dmap, prior, rep)
+            per_sample = cfg.register and cfg.dock_per_sample
+            base_ctx = None if per_sample else build_context(cfg, dmap, prior, rep)
 
             def ctx_for(j: int) -> GuidanceContext:
-                if cfg.register and cfg.dock_per_sample:
+                if per_sample:
                     return build_context(cfg, dmap, prior, rep,
                                          ref_index=cfg.n_samples + 1 + j)
                 return base_ctx

@@ -198,7 +198,6 @@ class SampleStats:
     global_evals: int = 0
     local_evals: int = 0
     frame: RigidTransform | None = None   # stage-entry alignment, model -> map
-    sinkhorn_converged: bool = True
 
 
 def tweedie_estimate(x: np.ndarray, sigma: float, model: ScoreModel,

@@ -5,6 +5,12 @@ farther than about `reach` angstroms is forgiven instead of force-matched,
 implemented as unbalanced OT with KL penalty scale rho = reach**2 and the
 standard damped updates.  Costs are reported through the dual objective,
 which is stationary at the optimum and therefore second-order accurate.
+
+The self term OT(X, X) of the debiased divergence is solved with the
+symmetric averaged update f <- (f + T(f)) / 2 on a single potential f = g
+(Feydy et al., "Interpolating between Optimal Transport and MMD using
+Sinkhorn Divergences", AISTATS 2019), which converges in a handful of
+iterations where the alternating updates need thousands.
 """
 
 from __future__ import annotations
@@ -62,17 +68,27 @@ def _lse(M, axis):
         return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(M - m), axis=axis))
 
 
+def _cost(X, Y):
+    """Half squared distances, the cost whose gradient divergence_grad takes."""
+    return 0.5 * np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=2)
+
+
+def _damp(cfg: SinkhornConfig) -> float:
+    """Scale of the potential update: 1 when balanced, rho / (rho + eps) for
+    the KL-relaxed marginals."""
+    if cfg.balanced:
+        return 1.0
+    rho = cfg.reach ** 2
+    return rho / (rho + cfg.epsilon)
+
+
 def _solve(X, a, Y, b, cfg: SinkhornConfig):
     eps = cfg.epsilon
-    C = 0.5 * np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=2)
+    C = _cost(X, Y)
     with np.errstate(divide="ignore"):
         la = np.log(a)[:, None]
         lb = np.log(b)[None, :]
-    if cfg.balanced:
-        damp = 1.0
-    else:
-        rho = cfg.reach ** 2
-        damp = rho / (rho + eps)
+    damp = _damp(cfg)
 
     # g-independent / f-independent parts of the update arguments
     fk = lb - C / eps
@@ -103,6 +119,35 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
     return f, g, gamma, converged, it
 
 
+def _solve_self(X, a, cfg: SinkhornConfig):
+    """OT(X, X) on one symmetric potential: f <- (f + T(f)) / 2.
+
+    T is the Sinkhorn update with g = f; averaging damps the oscillation
+    that the plain iteration f <- T(f) shows on symmetric problems.  Stops
+    when the update moves f by less than `tol`.
+    """
+    eps = cfg.epsilon
+    C = _cost(X, X)
+    with np.errstate(divide="ignore"):
+        la = np.log(a)
+    damp = _damp(cfg)
+    fk = la[None, :] - C / eps
+
+    f = np.zeros(len(X))
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        f_new = 0.5 * (f - damp * eps * _lse(fk + f[None, :] / eps, axis=1))
+        err = np.max(np.abs(f_new - f))
+        f = f_new
+        if err < cfg.tol:
+            converged = True
+            break
+    gamma = np.exp(la[:, None] + la[None, :]
+                   + (f[:, None] + f[None, :] - C) / eps)
+    return f, gamma, converged, it
+
+
 def _dual_value(a, f, b, g, cfg: SinkhornConfig) -> float:
     if cfg.balanced:
         return float(a @ f + b @ g)
@@ -118,13 +163,18 @@ def ot_epsilon(X: PointCloud, Y: PointCloud,
 
     The returned plan carries a `converged` flag; an exhausted iteration
     budget degrades the flag rather than raising, since guidance tolerates
-    approximate plans.
+    approximate plans.  Passing the same cloud object twice (`Y is X`)
+    selects the symmetric self-term solver, whose plan has `g` equal to `f`.
     """
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("ot_epsilon requires nonempty point clouds")
     a = _masses(X, cfg)
-    b = _masses(Y, cfg)
-    f, g, gamma, converged, it = _solve(X.points, a, Y.points, b, cfg)
+    if Y is X:
+        f, gamma, converged, it = _solve_self(X.points, a, cfg)
+        g, b = f, a
+    else:
+        b = _masses(Y, cfg)
+        f, g, gamma, converged, it = _solve(X.points, a, Y.points, b, cfg)
     cost = _dual_value(a, f, b, g, cfg)
     return cost, TransportPlan(gamma=gamma, f=f, g=g, converged=converged, iterations=it)
 
@@ -144,7 +194,7 @@ def divergence_grad(X: PointCloud, Y: PointCloud,
 
     Envelope form: the converged plans are held fixed, so for the half-sum
     of squared distances cost the cross term contributes
-    sum_j gamma_ij (x_i - y_j) and the (symmetrized) self term twice that
+    sum_j gamma_ij (x_i - y_j) and the (symmetric) self term twice that
     with Y = X.  Exact at convergence.
     """
     _, pxy = ot_epsilon(X, Y, cfg)
@@ -152,6 +202,5 @@ def divergence_grad(X: PointCloud, Y: PointCloud,
     P = X.points
     Q = Y.points
     gx = pxy.gamma.sum(axis=1)[:, None] * P - pxy.gamma @ Q
-    gs = (pxx.gamma + pxx.gamma.T) / 2.0
-    gxx = 2.0 * (gs.sum(axis=1)[:, None] * P - gs @ P)
+    gxx = 2.0 * (pxx.gamma.sum(axis=1)[:, None] * P - pxx.gamma @ P)
     return gx - 0.5 * gxx

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryoguide.pointcloud import PointCloud
+from cryoguide.priors import hinged_chain_modes
 from cryoguide.transport import (SinkhornConfig, TransportPlan,
                                  divergence_grad, ot_epsilon,
                                  sinkhorn_divergence)
@@ -118,6 +119,67 @@ class TestCost:
         assert plan.gamma.shape == (3, 5)
         assert plan.f.shape == (3,) and plan.g.shape == (5,)
         assert np.all(plan.gamma >= 0)
+
+
+REACHES = [40.0, 10.0, None]
+
+
+def chain_cloud():
+    """The 30-bead minority mode of the demo prior, the size of a guided
+    sample's self term."""
+    return PointCloud(hinged_chain_modes()[1])
+
+
+def self_grad(X, plan):
+    """The self term's position gradient 2 (diag(gamma 1) X - gamma X)."""
+    P = X.points
+    return 2.0 * (plan.gamma.sum(axis=1)[:, None] * P - plan.gamma @ P)
+
+
+def converged_reference(X, reach):
+    """OT(X, X) from the alternating solver, on an equal but distinct cloud."""
+    cfg = SinkhornConfig(epsilon=1.0, reach=reach, max_iters=30_000, tol=1e-10)
+    _, plan = ot_epsilon(X, PointCloud(X.points.copy()), cfg)
+    assert plan.converged
+    return plan
+
+
+class TestSelfTerm:
+    @pytest.mark.parametrize("reach", REACHES)
+    def test_converges_in_few_iterations(self, reach):
+        X = chain_cloud()
+        _, plan = ot_epsilon(X, X, SinkhornConfig(epsilon=1.0, reach=reach))
+        assert plan.converged
+        assert plan.iterations <= 20
+
+    @pytest.mark.parametrize("reach", REACHES)
+    def test_plan_matches_alternating_solver(self, reach):
+        X = chain_cloud()
+        _, plan = ot_epsilon(X, X, SinkhornConfig(epsilon=1.0, reach=reach))
+        ref = converged_reference(X, reach)
+        np.testing.assert_allclose(plan.gamma, ref.gamma, rtol=0,
+                                   atol=1e-6 * ref.gamma.max())
+
+    def test_balanced_potentials_equal(self):
+        X = chain_cloud()
+        _, plan = ot_epsilon(X, X, SinkhornConfig(epsilon=1.0, reach=None))
+        np.testing.assert_array_equal(plan.f, plan.g)
+
+    @pytest.mark.parametrize("reach", REACHES)
+    def test_gradient_direction_matches_converged_reference(self, reach):
+        X = chain_cloud()
+        _, plan = ot_epsilon(X, X, SinkhornConfig(epsilon=1.0, reach=reach))
+        got = self_grad(X, plan)
+        want = self_grad(X, converged_reference(X, reach))
+        cos = np.sum(got * want) / (np.linalg.norm(got) * np.linalg.norm(want))
+        assert cos >= 0.999
+
+    def test_budget_exhaustion_reported(self):
+        X = chain_cloud()
+        cfg = SinkhornConfig(epsilon=1.0, reach=40.0, max_iters=1, tol=1e-12)
+        _, plan = ot_epsilon(X, X, cfg)
+        assert not plan.converged
+        assert plan.iterations == 1
 
 
 class TestDivergence:
