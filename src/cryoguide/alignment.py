@@ -1,10 +1,11 @@
 """Rigid-body registration: Kabsch superposition and map docking.
 
-Docking is a coarse-to-fine search: a translation scan over a shift lattice
-for each of a quasi-uniform rotation set (identity included), scored against
-a heavily blurred, zero-mean target; the best candidates are then refined by
-coordinate descent on Pearson correlation across a ladder of blur levels,
-each evaluated on a decimated grid sized to its blur.
+Docking scores a pose by sum_i a_i U(x_i): atomic numbers times a blurred,
+zero-mean target read at the atoms.  A rigid motion keeps the splat's sum
+and norm, so this ranks poses as the Pearson correlation of splat and
+blurred target would.  A translation scan for each of a quasi-uniform
+rotation set picks candidates; coordinate descent refines them down a
+ladder of blur levels; one splat of the final pose gives the Pearson score.
 """
 
 from __future__ import annotations
@@ -93,6 +94,14 @@ def rotation_about(axis: np.ndarray, degrees: float) -> np.ndarray:
     return np.eye(3) + np.sin(a) * K + (1.0 - np.cos(a)) * (K @ K)
 
 
+def _quat_matrix(w, x, y, z) -> np.ndarray:
+    """Rotation matrix of the unit quaternion (w, x, y, z)."""
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+
+
 def quasi_uniform_rotations(n: int) -> list[np.ndarray]:
     """Low-discrepancy rotation set: Halton points mapped through the uniform
     quaternion construction."""
@@ -111,10 +120,7 @@ def quasi_uniform_rotations(n: int) -> list[np.ndarray]:
         y = np.sqrt(1 - u1) * np.cos(2 * np.pi * u2)
         z = np.sqrt(u1) * np.sin(2 * np.pi * u3)
         w = np.sqrt(u1) * np.cos(2 * np.pi * u3)
-        out.append(np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]]))
+        out.append(_quat_matrix(w, x, y, z))
     return out
 
 
@@ -125,31 +131,36 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float((a @ b) / den) if den > 0 else 0.0
 
 
-def _level_target(target, voxel, sigma_extra, stride):
-    t = gaussian_filter(target, sigma_extra / voxel, mode="constant", truncate=4.0) \
-        if sigma_extra > 0 else target
-    return t[::stride, ::stride, ::stride]
+# (extra blur sigma_x in A, poses kept after refining at it)
+_LADDER = ((8.0, 4), (4.0, 4), (2.0, 1), (1.0, 1), (0.0, 1))
+_SCAN_KEEP = 16   # scan candidates refined at the first level
 
 
-def _pose_score(coords, amps, R, t, target, origin, voxel, sigma):
-    sim = splat(coords @ R.T + t, amps, target.shape, origin, voxel, sigma)
-    return _pearson(sim, target)
+def _level_field(target, voxel, sigma_atom, sigma_x):
+    """Zero-mean target blurred by hypot(sigma_atom, sqrt(2) * sigma_x): the
+    pose score at blur level sigma_x reads this field at the atoms."""
+    U = gaussian_filter(target, np.hypot(sigma_atom, np.sqrt(2) * sigma_x) / voxel,
+                        mode="constant", truncate=4.0)
+    return U - U.mean()
 
 
-def _refine_level(coords, amps, com, R, t, target, origin, voxel,
-                  sigma_atom, sigma_x, tol=1e-6):
-    """Coordinate descent on Pearson over 3 rotation + 3 translation parameters
-    at one blur level, evaluated on a blur-matched decimated grid."""
-    sigma_eff = float(np.hypot(sigma_atom, sigma_x))
-    stride = max(1, int(sigma_eff / (2 * voxel)))
-    target_L = _level_target(target, voxel, sigma_x, stride)
-    voxel_L = voxel * stride
+def _lookup_scores(U, idx, amps):
+    """sum_i amps_i * U(idx_i) for each pose; idx is (..., n_atoms, 3) in voxels."""
+    vals = map_coordinates(U, idx.reshape(-1, 3).T, order=1, mode="constant")
+    return vals.reshape(-1, len(amps)) @ amps
+
+
+def _refine(coords, amps, com, R, t, U, origin, voxel, sigma_eff):
+    """Coordinate descent on the lookup score over 3 rotation (about the
+    centre of mass) + 3 translation parameters, halving the steps when no
+    move gains more than 1e-6 of the entry score."""
     axes = np.eye(3)
 
     def score(Rc, tc):
-        return _pose_score(coords, amps, Rc, tc, target_L, origin, voxel_L, sigma_eff)
+        return float(_lookup_scores(U, (coords @ Rc.T + tc - origin) / voxel, amps)[0])
 
     sc = score(R, t)
+    tol = 1e-6 * abs(sc)
     steps = np.array([max(2.0, sigma_eff)] * 3 + [max(0.5, sigma_eff / 2)] * 3)
     while True:
         improved = False
@@ -171,15 +182,15 @@ def _refine_level(coords, amps, com, R, t, target, origin, voxel,
 
 
 def dock_to_map(model: AtomicModel, dmap: DensityMap, resolution: float,
-                n_rotations: int = 576, seed: int = 0,
-                beam: int = 16) -> tuple[RigidTransform, float]:
+                n_rotations: int = 576, seed: int = 0) -> tuple[RigidTransform, float]:
     """Rigid-dock `model` into `dmap`; returns (transform, Pearson score).
 
     Rotation candidates are the identity plus `n_rotations` quasi-uniform
     rotations (optionally offset by a seed-drawn rotation, the usual
     randomized low-discrepancy trick; seed 0 keeps the raw set).  Each is
-    paired with its best lattice translation against a blurred zero-mean
-    surrogate, and the top `beam` poses are refined coarse-to-fine.
+    paired with its best lattice translation at the first blur level, and
+    the top 16 poses are refined down the blur ladder.  The score is the
+    Pearson correlation of the docked model's splat with the map.
     """
     if len(model) == 0:
         raise ValueError("dock_to_map: empty model")
@@ -193,16 +204,14 @@ def dock_to_map(model: AtomicModel, dmap: DensityMap, resolution: float,
     com = coords.mean(axis=0)
     sigma_atom = atom_sigma(resolution)
 
-    sigma_x0 = 8.0
-    sigma_eff = float(np.hypot(sigma_atom, sigma_x0))
-    S = gaussian_filter(target, np.hypot(sigma_atom, np.sqrt(2) * sigma_x0) / voxel,
-                        mode="constant", truncate=4.0)
-    S = S - S.mean()
+    sigma_x0 = _LADDER[0][0]
+    U = _level_field(target, voxel, sigma_atom, sigma_x0)
 
-    # 0-inclusive symmetric shift lattice, +-25% of each extent, step sigma_eff/2
+    # 0-inclusive symmetric shift lattice, +-25% of each extent, step half the
+    # first level's splat width
     extents = np.array(target.shape) * voxel
     ranges = [max(1, int(e * 0.25 // voxel)) for e in extents]
-    step = max(1, int(sigma_eff / (2 * voxel)))
+    step = max(1, int(np.hypot(sigma_atom, sigma_x0) / (2 * voxel)))
     ax = [np.unique(np.concatenate([np.arange(0, r + 1, step),
                                     -np.arange(0, r + 1, step)]))
           for r in ranges]
@@ -214,41 +223,27 @@ def dock_to_map(model: AtomicModel, dmap: DensityMap, resolution: float,
         rng = np.random.default_rng(seed)
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
-        w, x, y, z = q
-        off = np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+        off = _quat_matrix(*q)
         rotations = [np.eye(3)] + [off @ R for R in rotations[1:]]
 
     cands = []
     for R in rotations:
-        rot = (coords - com) @ R.T + com
-        idx = (rot - origin) / voxel
-        pts = idx[None, :, :] + shifts[:, None, :]
-        vals = map_coordinates(S, pts.reshape(-1, 3).T, order=1, mode="constant")
-        dots = vals.reshape(len(shifts), -1).sum(axis=1)
+        idx = ((coords - com) @ R.T + com - origin) / voxel
+        dots = _lookup_scores(U, idx[None, :, :] + shifts[:, None, :], amps)
         j = int(np.argmax(dots))
-        cands.append((dots[j], R, shifts[j] * voxel))
+        cands.append((dots[j], R, com - R @ com + shifts[j] * voxel))
     cands.sort(key=lambda c: -c[0])   # stable: ties keep candidate order
+    poses = [(R, t) for _, R, t in cands[:_SCAN_KEEP]]
 
-    pool = []
-    for _, R, tshift in cands[:beam]:
-        t = com - R @ com + tshift
-        pool.append(_refine_level(coords, amps, com, R, t, target, origin, voxel,
-                                  sigma_atom, sigma_x0))
-    pool.sort(key=lambda c: -c[2])
+    for level, (sigma_x, keep) in enumerate(_LADDER):
+        if level:
+            U = _level_field(target, voxel, sigma_atom, sigma_x)
+        sigma_eff = float(np.hypot(sigma_atom, sigma_x))
+        refined = [_refine(coords, amps, com, R, t, U, origin, voxel, sigma_eff)
+                   for R, t in poses]
+        refined.sort(key=lambda c: -c[2])
+        poses = [(R, t) for R, t, _ in refined[:keep]]
 
-    pool2 = []
-    for R, t, _ in pool[:4]:
-        for sx in (4.0, 2.0):
-            R, t, sc = _refine_level(coords, amps, com, R, t, target, origin, voxel,
-                                     sigma_atom, sx)
-        pool2.append((R, t, sc))
-    pool2.sort(key=lambda c: -c[2])
-
-    R, t, _ = pool2[0]
-    for sx in (1.0, 0.0):
-        R, t, sc = _refine_level(coords, amps, com, R, t, target, origin, voxel,
-                                 sigma_atom, sx)
-    return RigidTransform(R, t), float(sc)
+    R, t = poses[0]
+    sim = splat(coords @ R.T + t, amps, target.shape, origin, voxel, sigma_atom)
+    return RigidTransform(R, t), _pearson(sim, target)

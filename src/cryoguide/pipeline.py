@@ -49,7 +49,9 @@ def _worker_count() -> int:
         n = int(raw)
     except ValueError:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, n)
+    if n < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {n}")
+    return n
 
 
 def _sample_seed(cfg_seed: int, rep: int, j: int) -> np.random.SeedSequence:
@@ -84,7 +86,6 @@ def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int,
     k = cfg.k_points or cluster_count(prior.n_atoms, dmap.voxel_size)
     cloud = extract_pointcloud(dmap, k, seed=cfg.seed)
     blur = BlurOperator(sigma_b=cfg.blur_sigma)
-    transform = None
     reference = None
     if cfg.register:
         if ref_index is None:
@@ -101,7 +102,7 @@ def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int,
     return GuidanceContext(target_map=dmap, target_cloud=cloud,
                            resolution=cfg.resolution,
                            sinkhorn=cfg.sinkhorn_config(), blur=blur,
-                           dock_transform=transform, reference=reference)
+                           reference=reference)
 
 
 def _run_one_guided(task):

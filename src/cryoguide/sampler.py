@@ -183,7 +183,6 @@ class GuidanceContext:
     resolution: float
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
     blur: BlurOperator = field(default_factory=BlurOperator)
-    dock_transform: RigidTransform | None = None
     reference: np.ndarray | None = None   # docked unguided reference (n, 3)
 
     def __post_init__(self):

@@ -138,10 +138,11 @@ def write_pdb(model: AtomicModel, path) -> None:
     if not model.atoms:
         raise ValueError("write_pdb: empty model")
     coords = model.coords()
-    if np.abs(coords).max() >= 10000.0:
-        raise ValueError(
-            f"write_pdb: coordinate magnitude {np.abs(coords).max():.1f} A overflows "
-            "the fixed-width PDB format (limit 10000)")
+    for c in (coords.min(), coords.max()):   # the widest 8.3f fields
+        if len(f"{c:8.3f}") > 8:
+            raise ValueError(
+                f"write_pdb: coordinate {c:.3f} A overflows the fixed-width "
+                "PDB format (range -999.999 to 9999.999)")
     lines = []
     serial = 0
     prev = model.atoms[0]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryoguide.alignment import (RigidTransform, dock_to_map, kabsch,
+from cryoguide import alignment
+from cryoguide.alignment import (RigidTransform, _pearson, dock_to_map, kabsch,
                                  quasi_uniform_rotations, rotation_about)
-from cryoguide.forward import grid_for_model, simulate_map
+from cryoguide.forward import atom_sigma, grid_for_model, simulate_map
 from cryoguide.priors import chain_template, hinged_chain_modes
 from cryoguide.structure import Atom, AtomicModel
 
@@ -178,6 +179,27 @@ class TestDock:
         rmsd = np.sqrt(np.mean(np.sum((docked - model.coords()) ** 2, axis=1)))
         assert score > 0.95
         assert rmsd < 1.5
+
+    def test_one_splat_scores_the_returned_pose(self, chain_map, monkeypatch):
+        # poses are ranked by interpolated lookups; only the reported
+        # Pearson score splats the model
+        model, dmap = chain_map
+        real_splat = alignment.splat
+        calls = []
+
+        def counting_splat(*args, **kwargs):
+            calls.append(args)
+            return real_splat(*args, **kwargs)
+
+        monkeypatch.setattr(alignment, "splat", counting_splat)
+        transform, score = dock_to_map(model, dmap, resolution=2.0,
+                                       n_rotations=64)
+        assert len(calls) == 1
+        sim = real_splat(transform.apply(model.coords()),
+                         model.atomic_numbers().astype(np.float64),
+                         dmap.data.shape, dmap.origin, dmap.voxel_size,
+                         atom_sigma(2.0))
+        assert score == pytest.approx(_pearson(sim, dmap.data), abs=1e-12)
 
     def test_errors(self, chain_map):
         model, dmap = chain_map

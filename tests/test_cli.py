@@ -245,6 +245,16 @@ class TestGuide:
         assert len(rows) == 4
         assert all("non-finite score" in row.split("\t")[3] for row in rows)
 
+    def test_bad_worker_count(self, workdir, tmp_path, monkeypatch, capsys):
+        cfg = base_config(workdir, tmp_path)
+        for raw, message in (("0", "must be >= 1, got 0"),
+                             ("-3", "must be >= 1, got -3"),
+                             ("x", "must be an integer, got 'x'")):
+            monkeypatch.setenv("CRYOGUIDE_WORKERS", raw)
+            assert main(["guide", "--config", str(cfg),
+                         "--set", f"outdir={tmp_path / 'w'}"]) == 1
+            assert f"CRYOGUIDE_WORKERS {message}" in capsys.readouterr().err
+
     def test_unknown_config_key(self, workdir, tmp_path, capsys):
         cfg = base_config(workdir, tmp_path)
         assert main(["guide", "--config", str(cfg),

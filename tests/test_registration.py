@@ -61,14 +61,13 @@ class TestBuildContext:
         cfg = registered_config(root, root / "ctx")
         cfg.register = False
         ctx = build_context(cfg, dmap, prior, rep=0)
-        assert ctx.reference is None and ctx.dock_transform is None
+        assert ctx.reference is None
 
     def test_registration_docks_reference(self, displaced_setup):
         root, truth, dmap, prior = displaced_setup
         cfg = registered_config(root, root / "ctx2")
         ctx = build_context(cfg, dmap, prior, rep=0)
         assert ctx.reference is not None and ctx.reference.shape == (30, 3)
-        assert ctx.dock_transform is not None
         # the docked unguided reference sits near the displaced truth without
         # any further alignment (the prior is tight, tau = 1)
         assert raw_rmsd(ctx.reference, truth) < 2.5

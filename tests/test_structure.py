@@ -186,9 +186,10 @@ class TestWritePdb:
         assert line[76:78] == " C"
 
     def test_coordinate_overflow_errors(self, tmp_path):
-        atoms = (Atom("C", (10000.0, 0, 0), "A", 1),)
-        with pytest.raises(ValueError, match="overflow"):
-            write_pdb(AtomicModel(atoms), tmp_path / "big.pdb")
+        for pos in ((10000.0, 0, 0), (-1000.0, 0, 0)):
+            atoms = (Atom("C", pos, "A", 1),)
+            with pytest.raises(ValueError, match="overflow"):
+                write_pdb(AtomicModel(atoms), tmp_path / "big.pdb")
 
     def test_empty_model_errors(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
