@@ -25,8 +25,8 @@ log = logging.getLogger(__name__)
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crop to the above-level bounding box plus --pad")
     p.add_argument("--pad", type=int, default=2, help="crop padding (voxels)")
     p.add_argument("--mask-model", default="", help="keep density near this PDB")
-    p.add_argument("--mask-radius", type=float, default=4.0,
+    p.add_argument("--mask-radius", type=_positive_float, default=4.0,
                    help="mask radius (A)")
     p.set_defaults(func=cmd_prep)
 

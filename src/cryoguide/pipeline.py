@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +115,35 @@ def _run_one_guided(task):
         return exc
 
 
+def _submit(pool: ProcessPoolExecutor, task) -> Future:
+    """Submit one sample; a pool already broken gives a future holding that error."""
+    try:
+        return pool.submit(_run_one_guided, task)
+    except BrokenProcessPool as exc:
+        failed = Future()
+        failed.set_exception(exc)
+        return failed
+
+
+def _map_samples(tasks, workers: int):
+    """Each task's sample or failure, in task order, from `workers` processes.
+
+    One pool serves one replicate.  If a worker process dies, every task the
+    pool has not finished yields a RuntimeError in place of its result, and
+    the next replicate starts a fresh pool.
+    """
+    if workers == 1:
+        yield from map(_run_one_guided, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [_submit(pool, task) for task in tasks]
+        for fut in futures:
+            try:
+                yield fut.result()
+            except BrokenProcessPool as exc:
+                yield RuntimeError(f"worker process died: {exc}")
+
+
 def run_guided(cfg: RunConfig) -> list[SampleRecord]:
     """Full guided run: every replicate and sample, manifest, and summary.
 
@@ -135,38 +164,35 @@ def run_guided(cfg: RunConfig) -> list[SampleRecord]:
     records: list[SampleRecord] = []
     workers = _worker_count()
 
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        map_tasks = pool.map if pool is not None else map
-        for rep in range(cfg.n_replicates):
-            rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
-            os.makedirs(rep_dir, exist_ok=True)
-            per_sample = cfg.register and cfg.dock_per_sample
-            base_ctx = None if per_sample else build_context(cfg, dmap, prior, rep)
+    for rep in range(cfg.n_replicates):
+        rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
+        os.makedirs(rep_dir, exist_ok=True)
+        per_sample = cfg.register and cfg.dock_per_sample
+        base_ctx = None if per_sample else build_context(cfg, dmap, prior, rep)
 
-            def ctx_for(j: int) -> GuidanceContext:
-                if per_sample:
-                    return build_context(cfg, dmap, prior, rep,
-                                         ref_index=cfg.n_samples + 1 + j)
-                return base_ctx
+        def ctx_for(j: int) -> GuidanceContext:
+            if per_sample:
+                return build_context(cfg, dmap, prior, rep,
+                                     ref_index=cfg.n_samples + 1 + j)
+            return base_ctx
 
-            tasks = ((prior, template, ctx_for(j), schedule, gsched,
-                      _sample_seed(cfg.seed, rep, j))
-                     for j in range(cfg.n_samples))
-            for j, out in enumerate(map_tasks(_run_one_guided, tasks)):
-                seed_key = f"{cfg.seed}:{rep}:{j}"
-                if isinstance(out, Exception):
-                    log.warning("rep %d sample %d failed: %s", rep, j, out)
-                    records.append(SampleRecord(rep, j, seed_key, "", str(out),
-                                                None, None))
-                    continue
-                path = os.path.join(rep_dir, f"sample{j}.pdb")
-                write_pdb(out, path)
-                cc = rscc(out, dmap, cfg.resolution)
-                rmsd = evaluate(out, reference).rmsd_all if reference else None
-                records.append(SampleRecord(rep, j, seed_key, path, "ok", cc,
-                                            rmsd))
-                log.info("rep %d sample %d: rscc %.4f", rep, j, cc)
+        tasks = ((prior, template, ctx_for(j), schedule, gsched,
+                  _sample_seed(cfg.seed, rep, j))
+                 for j in range(cfg.n_samples))
+        for j, out in enumerate(_map_samples(tasks, workers)):
+            seed_key = f"{cfg.seed}:{rep}:{j}"
+            if isinstance(out, Exception):
+                log.warning("rep %d sample %d failed: %s", rep, j, out)
+                records.append(SampleRecord(rep, j, seed_key, "", str(out),
+                                            None, None))
+                continue
+            path = os.path.join(rep_dir, f"sample{j}.pdb")
+            write_pdb(out, path)
+            cc = rscc(out, dmap, cfg.resolution)
+            rmsd = evaluate(out, reference).rmsd_all if reference else None
+            records.append(SampleRecord(rep, j, seed_key, path, "ok", cc,
+                                        rmsd))
+            log.info("rep %d sample %d: rscc %.4f", rep, j, cc)
 
     _write_manifest(cfg, records)
     _write_summary(cfg, records)

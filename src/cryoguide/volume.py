@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
+from ._kernels._splat_py import stencils
+
 
 class MapFormatError(ValueError):
     """Malformed or unsupported MRC content."""
@@ -197,20 +199,14 @@ def crop_pad(dmap: DensityMap, level: float, pad: int) -> DensityMap:
 
 def mask_near_model(dmap: DensityMap, model, radius: float) -> DensityMap:
     """Zero voxels whose centers lie farther than `radius` from every atom."""
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"mask_near_model: radius must be finite and positive, got {radius}")
     coords = model.coords()
     if len(coords) == 0:
         raise ValueError("mask_near_model: model has no atoms")
-    keep = np.zeros(dmap.data.shape, dtype=bool)
-    shape = np.array(dmap.data.shape)
+    keep = np.zeros(dmap.data.size, dtype=bool)
     r2 = radius * radius
-    for p in coords:
-        c = (p - dmap.origin) / dmap.voxel_size
-        lo = np.maximum(np.ceil(c - radius / dmap.voxel_size), 0).astype(int)
-        hi = np.minimum(np.floor(c + radius / dmap.voxel_size), shape - 1).astype(int)
-        if np.any(lo > hi):
-            continue
-        ax = [np.arange(lo[i], hi[i] + 1) * dmap.voxel_size + dmap.origin[i] - p[i]
-              for i in range(3)]
-        d2 = ax[0][:, None, None] ** 2 + ax[1][None, :, None] ** 2 + ax[2][None, None, :] ** 2
-        keep[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1] |= d2 <= r2
-    return replace(dmap, data=np.where(keep, dmap.data, 0.0))
+    for _, box, flat, _, d2 in stencils(coords, dmap.origin, dmap.voxel_size,
+                                        dmap.data.shape, radius):
+        keep[flat[box & (d2 <= r2)]] = True
+    return replace(dmap, data=np.where(keep.reshape(dmap.data.shape), dmap.data, 0.0))

@@ -1,8 +1,13 @@
 """Command-line interface tests (exercised through main(argv))."""
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
+from cryoguide import pipeline
 from cryoguide.cli import main
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.priors import chain_template, hinged_chain_modes
@@ -161,6 +166,17 @@ class TestPrep:
                      "--mask-radius", "3.0"]) == 0
         assert read_mrc(out).data.shape == read_mrc(workdir / "chain.mrc").data.shape
 
+    @pytest.mark.parametrize("radius", ["-1", "0", "nan"])
+    def test_bad_mask_radius_rejected_by_parser(self, workdir, tmp_path, capsys, radius):
+        out = tmp_path / "masked.mrc"
+        with pytest.raises(SystemExit) as exc:
+            main(["prep", str(workdir / "chain.mrc"), "-o", str(out),
+                  "--mask-model", str(workdir / "chain.pdb"),
+                  "--mask-radius", radius])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGuide:
     def test_run_layout_and_manifest(self, workdir, tmp_path):
@@ -244,6 +260,62 @@ class TestGuide:
         rows = manifests[0].decode().splitlines()[1:]
         assert len(rows) == 4
         assert all("non-finite score" in row.split("\t")[3] for row in rows)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched sampler")
+    def test_crashed_worker_recorded_as_failed(self, workdir, tmp_path, monkeypatch):
+        real = pipeline.sample_guided
+
+        def crash_on_rep1(prior, x0, ctx, schedule, gsched, template, seed):
+            if seed.spawn_key == (1, 0):
+                os._exit(1)
+            return real(prior, x0, ctx, schedule, gsched, template, seed)
+
+        monkeypatch.setattr(pipeline, "sample_guided", crash_on_rep1)
+        monkeypatch.setenv("CRYOGUIDE_WORKERS", "2")
+        cfg = base_config(workdir, tmp_path, extra="n_samples = 1\nn_replicates = 3\n")
+        assert main(["guide", "--config", str(cfg)]) == 0
+        outdir = tmp_path / "out"
+        rows = [r.split("\t") for r in
+                (outdir / "manifest.tsv").read_text().splitlines()[1:]]
+        assert [r[:3] for r in rows] == [["0", "0", "11:0:0"], ["1", "0", "11:1:0"],
+                                         ["2", "0", "11:2:0"]]
+        assert rows[0][3] == "ok" and rows[2][3] == "ok"
+        assert rows[1][3].startswith("worker process died: ")
+        assert rows[1][4:] == ["", ""]
+        summary = (outdir / "summary.tsv").read_text().splitlines()
+        assert [line.split("\t")[:2] for line in summary[1:]] == [["0", "1"], ["1", "0"],
+                                                                   ["2", "1"]]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched sampler")
+    def test_worker_death_while_submitting(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(pipeline.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        def crash_or_echo(prior, x0, ctx, schedule, gsched, template, seed):
+            if seed == "crash":
+                os._exit(1)
+            return seed
+
+        def tasks():
+            yield (None,) * 5 + ("crash",)
+            # hold the next task back until the pool has seen its worker die
+            deadline = time.monotonic() + 30.0
+            while not pools[0]._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            yield (None,) * 5 + ("late",)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pipeline, "sample_guided", crash_or_echo)
+        outs = list(pipeline._map_samples(tasks(), 2))
+        assert len(outs) == 2
+        assert all(isinstance(o, RuntimeError) for o in outs)
+        assert all(str(o).startswith("worker process died: ") for o in outs)
 
     def test_bad_worker_count(self, workdir, tmp_path, monkeypatch, capsys):
         cfg = base_config(workdir, tmp_path)

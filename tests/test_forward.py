@@ -8,8 +8,9 @@ from cryoguide.forward import (SIGMA_PER_RESOLUTION, BlurOperator, apply_blur,
                                atom_sigma, density_loss, density_loss_grad,
                                density_loss_grad_coords, grid_for_model,
                                simulate_map)
+from cryoguide._kernels import _splat_py
 from cryoguide.structure import Atom, AtomicModel
-from cryoguide.volume import DensityMap
+from cryoguide.volume import DensityMap, mask_near_model
 
 
 def dense_splat(coords, amps, shape, origin, voxel, sigma):
@@ -22,6 +23,78 @@ def dense_splat(coords, amps, shape, origin, voxel, sigma):
         d2 = np.sum((world - p) ** 2, axis=-1)
         out += np.where(d2 <= rad2, a * np.exp(-d2 / (2 * sigma * sigma)), 0.0)
     return out
+
+
+def _loop_block(p, origin, voxel, shape, rad):
+    c = (p - origin) / voxel
+    lo = np.maximum(np.ceil(c - rad / voxel), 0).astype(np.int64)
+    hi = np.minimum(np.floor(c + rad / voxel), np.asarray(shape) - 1).astype(np.int64)
+    return lo, hi
+
+
+def loop_splat(coords, amps, shape, origin, voxel, sigma):
+    """Reference: the per-atom loop the vectorized kernel must match bitwise."""
+    coords = np.asarray(coords, dtype=np.float64)
+    amps = np.asarray(amps, dtype=np.float64)
+    origin = np.asarray(origin, dtype=np.float64)
+    data = np.zeros(tuple(shape), dtype=np.float64)
+    rad = 4.0 * sigma
+    inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    for p, a in zip(coords, amps):
+        lo, hi = _loop_block(p, origin, voxel, shape, rad)
+        if np.any(lo > hi):
+            continue
+        ax = [np.arange(lo[i], hi[i] + 1) * voxel + origin[i] - p[i] for i in range(3)]
+        d2 = (ax[0][:, None, None] ** 2 + ax[1][None, :, None] ** 2
+              + ax[2][None, None, :] ** 2)
+        blk = np.where(d2 <= rad * rad, a * np.exp(-d2 * inv2s2), 0.0)
+        data[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1] += blk
+    return data
+
+
+def loop_splat_grad(coords, amps, field, origin, voxel, sigma):
+    """Reference: the per-atom loop the vectorized gradient must match bitwise."""
+    coords = np.asarray(coords, dtype=np.float64)
+    amps = np.asarray(amps, dtype=np.float64)
+    field = np.asarray(field, dtype=np.float64)
+    origin = np.asarray(origin, dtype=np.float64)
+    shape = field.shape
+    grad = np.zeros((len(coords), 3), dtype=np.float64)
+    rad = 4.0 * sigma
+    inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    invs2 = 1.0 / (sigma * sigma)
+    for ai, (p, a) in enumerate(zip(coords, amps)):
+        lo, hi = _loop_block(p, origin, voxel, shape, rad)
+        if np.any(lo > hi):
+            continue
+        ax = [np.arange(lo[i], hi[i] + 1) * voxel + origin[i] - p[i] for i in range(3)]
+        d2 = (ax[0][:, None, None] ** 2 + ax[1][None, :, None] ** 2
+              + ax[2][None, None, :] ** 2)
+        w = np.where(d2 <= rad * rad, a * np.exp(-d2 * inv2s2), 0.0)
+        fw = field[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1] * w * invs2
+        grad[ai, 0] = np.sum(fw * ax[0][:, None, None])
+        grad[ai, 1] = np.sum(fw * ax[1][None, :, None])
+        grad[ai, 2] = np.sum(fw * ax[2][None, None, :])
+    return grad
+
+
+def loop_mask_near_model(dmap, model, radius):
+    """Reference: the per-atom loop the vectorized mask must match exactly."""
+    coords = model.coords()
+    keep = np.zeros(dmap.data.shape, dtype=bool)
+    shape = np.array(dmap.data.shape)
+    r2 = radius * radius
+    for p in coords:
+        c = (p - dmap.origin) / dmap.voxel_size
+        lo = np.maximum(np.ceil(c - radius / dmap.voxel_size), 0).astype(int)
+        hi = np.minimum(np.floor(c + radius / dmap.voxel_size), shape - 1).astype(int)
+        if np.any(lo > hi):
+            continue
+        ax = [np.arange(lo[i], hi[i] + 1) * dmap.voxel_size + dmap.origin[i] - p[i]
+              for i in range(3)]
+        d2 = ax[0][:, None, None] ** 2 + ax[1][None, :, None] ** 2 + ax[2][None, None, :] ** 2
+        keep[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1] |= d2 <= r2
+    return np.where(keep, dmap.data, 0.0)
 
 
 def carbon_chain(coords):
@@ -63,6 +136,34 @@ class TestSplat:
         data = _kernels.splat(np.array([[100.0, 0.0, 0.0]]), np.array([1.0]),
                               (5, 5, 5), np.zeros(3), 1.0, 0.5)
         assert np.all(data == 0.0)
+
+    def test_zero_atoms_give_an_empty_map(self):
+        data = _kernels.splat(np.zeros((0, 3)), np.zeros(0), (4, 5, 6), np.zeros(3), 1.0, 0.5)
+        assert data.shape == (4, 5, 6) and np.all(data == 0.0)
+        grad = _kernels.splat_grad(np.zeros((0, 3)), np.zeros(0), np.ones((4, 5, 6)),
+                                   np.zeros(3), 1.0, 0.5)
+        assert grad.shape == (0, 3)
+
+    def test_bad_inputs_rejected(self):
+        coords, amps = np.full((5, 3), 2.0), np.ones(3)
+        field, origin = np.ones((6, 6, 6)), np.zeros(3)
+        with pytest.raises(ValueError, match=r"amps must have shape \(5,\)"):
+            _kernels.splat(coords, amps, field.shape, origin, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"amps must have shape \(5,\)"):
+            _kernels.splat_grad(coords, amps, field, origin, 1.0, 0.5)
+        target = DensityMap(field, 1.0, origin)
+        with pytest.raises(ValueError, match=r"amps must have shape \(5,\)"):
+            density_loss_grad_coords(coords, amps, target, 2.0)
+        with pytest.raises(ValueError, match=r"coords must have shape \(n, 3\)"):
+            _kernels.splat(np.ones((5, 2)), np.ones(5), field.shape, origin, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"coords must have shape \(n, 3\)"):
+            _kernels.splat_grad(np.ones(3), np.ones(1), field, origin, 1.0, 0.5)
+        for voxel, sigma, what in ((0.0, 0.5, "voxel"), (-1.0, 0.5, "voxel"),
+                                   (1.0, 0.0, "sigma"), (1.0, float("nan"), "sigma")):
+            with pytest.raises(ValueError, match=f"{what} must be positive"):
+                _kernels.splat(coords, np.ones(5), field.shape, origin, voxel, sigma)
+            with pytest.raises(ValueError, match=f"{what} must be positive"):
+                _kernels.splat_grad(coords, np.ones(5), field, origin, voxel, sigma)
 
     def test_splat_grad_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
@@ -242,3 +343,39 @@ class TestKernelBackends:
 
     def test_backend_name_exposed(self):
         assert _kernels.BACKEND in ("cython", "python")
+
+    def test_numpy_kernels_match_per_atom_loops_bitwise(self):
+        # the reference loops above are the kernels this package used to run;
+        # the vectorized ones must reproduce them exactly, not to a tolerance
+        rng = np.random.default_rng(41)
+        shape, origin = (19, 16, 14), np.array([-2.0, 1.5, 0.25])
+        field = rng.normal(size=shape)
+        data = rng.uniform(0.1, 1.0, shape)
+        for voxel in (0.7, 1.0, 1.3):
+            hi = origin + (np.array(shape) - 1) * voxel
+            grid = DensityMap(data, voxel, origin)
+            for res in (1.0, 2.0, 3.3, 4.0, 6.0):
+                sigma = atom_sigma(res)
+                # 60 atoms within 6 A of the box, many of them partly outside it,
+                # and two wholly outside, one past each corner
+                near = rng.uniform(origin - 6.0, hi + 6.0, (60, 3))
+                far = np.array([origin - 40.0, hi + 40.0])
+                if (voxel, res) == (0.7, 6.0):
+                    n_blocks = sum(1 for _ in _splat_py.stencils(
+                        near, origin, voxel, shape, 4.0 * sigma))
+                    assert n_blocks > 1
+                for coords in (np.vstack([near[:30], far, near[30:]]), near[:1],
+                               far[:1], np.zeros((0, 3))):
+                    amps = rng.uniform(-2.0, 9.0, len(coords))
+                    assert np.array_equal(
+                        _splat_py.splat(coords, amps, shape, origin, voxel, sigma),
+                        loop_splat(coords, amps, shape, origin, voxel, sigma))
+                    assert np.array_equal(
+                        _splat_py.splat_grad(coords, amps, field, origin, voxel, sigma),
+                        loop_splat_grad(coords, amps, field, origin, voxel, sigma))
+                    if len(coords):
+                        model = carbon_chain(coords)
+                        radius = 4.0 * sigma
+                        assert np.array_equal(
+                            mask_near_model(grid, model, radius).data,
+                            loop_mask_near_model(grid, model, radius))

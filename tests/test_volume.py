@@ -263,6 +263,13 @@ class TestMaskNearModel:
         d2 = np.sum((w - np.array([4.0, 4.0, 4.0])) ** 2, axis=-1)
         np.testing.assert_array_equal(out.data != 0, d2 <= 4.0)
 
+    def test_bad_radius_errors(self):
+        m = DensityMap(data=np.ones((3, 3, 3)), voxel_size=1.0)
+        model = chain_template(np.array([[1.0, 1.0, 1.0]]))
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="radius must be finite and positive"):
+                mask_near_model(m, model, radius=bad)
+
     def test_empty_model_errors(self):
         m = DensityMap(data=np.ones((3, 3, 3)), voxel_size=1.0)
         from cryoguide.structure import AtomicModel
