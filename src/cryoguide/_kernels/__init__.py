@@ -2,7 +2,8 @@
 
 Uses the compiled Cython extension when it imports and falls back to the
 pure-numpy implementation otherwise.  `splat` and `splat_grad` check their
-inputs here, before either backend sees them.
+inputs here, before either backend sees them: a non-finite coordinate would
+otherwise drop its atom silently.
 """
 
 import numpy as np
@@ -25,6 +26,9 @@ def _checked(coords, amps, voxel, sigma):
     if amps.shape != (len(coords),):
         raise ValueError(f"amps must have shape ({len(coords)},) to match coords, "
                          f"got {amps.shape}")
+    bad = np.count_nonzero(~np.isfinite(coords))
+    if bad:
+        raise ValueError(f"coords contain {bad} non-finite coordinate(s)")
     if not voxel > 0:
         raise ValueError(f"voxel must be positive, got {voxel}")
     if not sigma > 0:

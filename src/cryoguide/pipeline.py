@@ -22,8 +22,7 @@ from .metrics import evaluate, rscc
 from .pointcloud import cluster_count, extract_pointcloud
 from .priors import chain_template, make_prior
 from .forward import BlurOperator
-from .sampler import (GuidanceContext, SamplingError, sample_guided,
-                      sample_unguided)
+from .sampler import GuidanceContext, sample_guided, sample_unguided
 from .structure import AtomicModel, read_pdb, write_pdb
 from .volume import DensityMap, read_mrc
 
@@ -106,12 +105,15 @@ def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int,
 
 
 def _run_one_guided(task):
-    """One guided sample; a sampling failure is returned, not raised, so the
-    serial and the pooled map record it the same way."""
+    """One guided sample; any failure is returned, not raised, so that it
+    fails this sample alone and the serial and the pooled map record it the
+    same way."""
     prior, template, ctx, schedule, gsched, seed = task
     try:
         return sample_guided(prior, None, ctx, schedule, gsched, template, seed)
-    except (SamplingError, ValueError) as exc:
+    except Exception as exc:
+        # the traceback does not survive the trip back from a worker process
+        log.debug("guided sample failed", exc_info=True)
         return exc
 
 

@@ -20,7 +20,7 @@ from .alignment import RigidTransform, kabsch
 from .forward import BlurOperator, density_loss_grad_coords
 from .pointcloud import PointCloud
 from .structure import AtomicModel
-from .transport import SinkhornConfig, divergence_grad
+from .transport import SinkhornConfig, TransportPlan, divergence_grad
 from .volume import DensityMap
 
 
@@ -197,6 +197,14 @@ class SampleStats:
     global_evals: int = 0
     local_evals: int = 0
     frame: RigidTransform | None = None   # stage-entry alignment, model -> map
+    ot_cross_solves: int = 0              # Sinkhorn cross-term solves
+    ot_cross_iterations: int = 0          # their iterations, summed
+    ot_cross_unconverged: int = 0         # those that hit max_iters
+
+    def record_cross_plan(self, plan: TransportPlan) -> None:
+        self.ot_cross_solves += 1
+        self.ot_cross_iterations += plan.iterations
+        self.ot_cross_unconverged += not plan.converged
 
 
 def tweedie_estimate(x: np.ndarray, sigma: float, model: ScoreModel,
@@ -287,7 +295,9 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
             lam = lambda_global(i - t_w, gsched)
             if lam == 0.0:
                 return None
-            grad = divergence_grad(PointCloud(world), ctx.target_cloud, ctx.sinkhorn)
+            grad = divergence_grad(PointCloud(world), ctx.target_cloud,
+                                   ctx.sinkhorn,
+                                   on_cross_plan=stats.record_cross_plan)
             stats.global_evals += 1
         else:
             lam = gsched.lambda_local

@@ -2,9 +2,17 @@
 
 Log-domain Sinkhorn with optional marginal relaxation ("reach"): mass
 farther than about `reach` angstroms is forgiven instead of force-matched,
-implemented as unbalanced OT with KL penalty scale rho = reach**2 and the
-standard damped updates.  Costs are reported through the dual objective,
-which is stationary at the optimum and therefore second-order accurate.
+implemented as unbalanced OT with KL penalty scale rho = reach**2.  Costs
+are reported through the dual objective, which is stationary at the optimum
+and therefore second-order accurate.
+
+The cross term OT(X, Y) runs three alternating (damped) Sinkhorn sweeps and
+then Newton steps on the concave dual (Brauer, Clason, Lorenz & Wirth, "A
+Sinkhorn-Newton method for entropic optimal transport", arXiv:1710.06635),
+with a backtracking line search.  The Hessian's f-block is diagonal, so
+each step is one dense solve on the smaller cloud through its Schur
+complement.  It converges in tens of steps where the alternating updates
+need thousands; any step that cannot be taken falls back to one sweep.
 
 The self term OT(X, X) of the debiased divergence is solved with the
 symmetric averaged update f <- (f + T(f)) / 2 on a single potential f = g
@@ -16,6 +24,7 @@ iterations where the alternating updates need thousands.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +37,8 @@ class SinkhornConfig:
     epsilon: float = 1.0          # entropic regularization (A^2)
     reach: float = 10.0           # marginal relaxation scale (A); inf/None = balanced
     max_iters: int = 500
-    tol: float = 1e-6
+    tol: float = 1e-6             # cross term: largest marginal residual;
+                                  # self term: largest potential update
     use_weights: bool = False     # use cloud intensities as masses (else uniform)
 
     def __post_init__(self):
@@ -82,41 +92,127 @@ def _damp(cfg: SinkhornConfig) -> float:
     return rho / (rho + cfg.epsilon)
 
 
+# Newton cross solver: alternating sweeps before the first step; the Armijo
+# constant and the number of step halvings of the line search; the ridge
+# added to the Hessian diagonal, relative to its largest entry; and the
+# largest change of any potential in one step, in units of epsilon, which
+# lets a plan entry grow at most e^200-fold in a trial, far from overflow.
+_WARMUP_SWEEPS = 3
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 30
+_RIDGE = 1e-12
+_MAX_MOVE = 100.0
+
+
+def _schur_direction(d_big, d_small, K, r_big, r_small):
+    """Solve [[diag(d_big), K], [K^T, diag(d_small)]] (u, v) = (r_big, r_small)
+    by eliminating the diagonal block: one dense solve on the small side.
+    Returns None when the direction is not finite."""
+    Kd = K / d_big[:, None]
+    S = np.diag(d_small) - K.T @ Kd
+    try:
+        v = np.linalg.solve(S, r_small - Kd.T @ r_big)
+    except np.linalg.LinAlgError:
+        return None
+    u = (r_big - K @ v) / d_big
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        return None
+    return u, v
+
+
 def _solve(X, a, Y, b, cfg: SinkhornConfig):
+    """OT(X, Y): alternating warm-up sweeps, then damped Newton steps on the
+    concave dual; a step that fails is replaced by one sweep.
+
+    The dual's gradient is the marginal residual (a e^{-f/rho} - gamma 1,
+    b e^{-g/rho} - gamma^T 1), with a and b in place of the exponentials
+    when balanced, and the solve converges when its largest entry is below
+    `tol`.  The Hessian's f- and g-blocks are diagonal, so each step is one
+    Schur-complement solve on the smaller cloud.  A small ridge keeps that
+    solve regular where the balanced gauge (f + c, g - c) or an underflowed
+    coupling between groups of points leaves the Hessian singular; the
+    resulting long steps are capped at `_MAX_MOVE * eps` and then halved
+    until the dual rises enough (Armijo) or the residual falls.  Trial
+    points that overflow are rejected without warnings.
+    """
     eps = cfg.epsilon
+    balanced = cfg.balanced
+    rho = None if balanced else cfg.reach ** 2
     C = _cost(X, Y)
     with np.errstate(divide="ignore"):
         la = np.log(a)[:, None]
         lb = np.log(b)[None, :]
     damp = _damp(cfg)
+    n, m = C.shape
 
     # g-independent / f-independent parts of the update arguments
     fk = lb - C / eps
     gk = la - C / eps
     pk = la + lb - C / eps   # log-plan = pk + f/eps + g/eps
 
-    f = np.zeros(len(X))
-    g = np.zeros(len(Y))
+    def point(f, g):
+        """Dual value (up to a constant), marginal residual, plan and
+        relaxed marginals at (f, g); overflow gives a non-finite value."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = np.exp(pk + (f[:, None] + g[None, :]) / eps)
+            if balanced:
+                ua, ub = a, b
+                value = a @ f + b @ g - eps * gamma.sum()
+            else:
+                ua = a * np.exp(-f / rho)
+                ub = b * np.exp(-g / rho)
+                value = -rho * (ua.sum() + ub.sum()) - eps * gamma.sum()
+            r = np.concatenate([ua - gamma.sum(axis=1), ub - gamma.sum(axis=0)])
+        return value, r, gamma, ua, ub
+
+    def newton(f, g, value, r, gamma, ua, ub):
+        K = gamma / eps
+        hf, hg = K.sum(axis=1), K.sum(axis=0)
+        if not balanced:
+            hf = hf + ua / rho
+            hg = hg + ub / rho
+        ridge = _RIDGE * max(hf.max(), hg.max())
+        if n >= m:
+            d = _schur_direction(hf + ridge, hg + ridge, K, r[:n], r[n:])
+        else:
+            d = _schur_direction(hg + ridge, hf + ridge, K.T, r[n:], r[:n])
+            d = None if d is None else d[::-1]
+        if d is None:
+            return None
+        df, dg = d
+        slope = r[:n] @ df + r[n:] @ dg
+        res = np.max(np.abs(r))
+        move = max(np.abs(df).max(), np.abs(dg).max())
+        t = 1.0 if move <= _MAX_MOVE * eps else _MAX_MOVE * eps / move
+        for _ in range(_MAX_HALVINGS):
+            ft, gt = f + t * df, g + t * dg
+            trial = point(ft, gt)
+            # the residual test accepts steps whose rise in the dual is
+            # below float resolution at tight tolerances
+            if np.isfinite(trial[0]) and np.all(np.isfinite(trial[1])) and (
+                    trial[0] >= value + _ARMIJO * t * slope
+                    or np.max(np.abs(trial[1])) < res):
+                return ft, gt, trial
+            t *= 0.5
+        return None
+
+    f = np.zeros(n)
+    g = np.zeros(m)
+    state = None   # point(f, g)
     converged = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        f_old = f
-        f = -damp * eps * _lse(fk + g[None, :] / eps, axis=1)
-        g = -damp * eps * _lse(gk + f[:, None] / eps, axis=0)
-        if cfg.balanced:
-            # after the g update columns are exact; rows measure the residual.
-            # the check costs as much as an update, so run it sparsely.
-            if it % 10 and it != cfg.max_iters:
-                continue
-            row = np.exp(_lse(pk + f[:, None] / eps + g[None, :] / eps, axis=1))
-            err = np.max(np.abs(row - a))
+        step = newton(f, g, *state) if it > _WARMUP_SWEEPS else None
+        if step is None:
+            f = -damp * eps * _lse(fk + g[None, :] / eps, axis=1)
+            g = -damp * eps * _lse(gk + f[:, None] / eps, axis=0)
+            state = point(f, g)
         else:
-            err = np.max(np.abs(f - f_old))
-        if err < cfg.tol:
+            f, g, state = step
+        if np.max(np.abs(state[1])) < cfg.tol:
             converged = True
             break
-    gamma = np.exp(pk + f[:, None] / eps + g[None, :] / eps)
-    return f, g, gamma, converged, it
+    return f, g, state[2], converged, it
 
 
 def _solve_self(X, a, cfg: SinkhornConfig):
@@ -189,15 +285,21 @@ def sinkhorn_divergence(X: PointCloud, Y: PointCloud,
 
 
 def divergence_grad(X: PointCloud, Y: PointCloud,
-                    cfg: SinkhornConfig = SinkhornConfig()) -> np.ndarray:
+                    cfg: SinkhornConfig = SinkhornConfig(),
+                    on_cross_plan: Callable[[TransportPlan], None] | None = None
+                    ) -> np.ndarray:
     """Gradient of sinkhorn_divergence with respect to the X positions.
 
     Envelope form: the converged plans are held fixed, so for the half-sum
     of squared distances cost the cross term contributes
     sum_j gamma_ij (x_i - y_j) and the (symmetric) self term twice that
-    with Y = X.  Exact at convergence.
+    with Y = X.  Exact at convergence.  `on_cross_plan`, when given, is
+    called with the cross term's TransportPlan, so a caller can keep its
+    iteration count and convergence flag.
     """
     _, pxy = ot_epsilon(X, Y, cfg)
+    if on_cross_plan is not None:
+        on_cross_plan(pxy)
     _, pxx = ot_epsilon(X, X, cfg)
     P = X.points
     Q = Y.points

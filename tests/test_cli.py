@@ -263,6 +263,30 @@ class TestGuide:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers must inherit the patched sampler")
+    def test_unexpected_error_fails_one_sample(self, workdir, tmp_path, monkeypatch):
+        real = pipeline.sample_guided
+
+        def fail_rep0_sample1(prior, x0, ctx, schedule, gsched, template, seed):
+            if seed.spawn_key == (0, 1):
+                raise RuntimeError("stub failure")
+            return real(prior, x0, ctx, schedule, gsched, template, seed)
+
+        monkeypatch.setattr(pipeline, "sample_guided", fail_rep0_sample1)
+        cfg = base_config(workdir, tmp_path)
+        manifests = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CRYOGUIDE_WORKERS", workers)
+            outdir = tmp_path / f"w{workers}"
+            assert main(["guide", "--config", str(cfg),
+                         "--set", f"outdir={outdir}"]) == 0
+            manifests.append((outdir / "manifest.tsv").read_bytes())
+        assert manifests[0] == manifests[1]
+        rows = [r.split("\t") for r in manifests[0].decode().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["ok", "stub failure", "ok", "ok"]
+        assert rows[1][4:] == ["", ""]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched sampler")
     def test_crashed_worker_recorded_as_failed(self, workdir, tmp_path, monkeypatch):
         real = pipeline.sample_guided
 

@@ -158,6 +158,12 @@ class TestSplat:
             _kernels.splat(np.ones((5, 2)), np.ones(5), field.shape, origin, 1.0, 0.5)
         with pytest.raises(ValueError, match=r"coords must have shape \(n, 3\)"):
             _kernels.splat_grad(np.ones(3), np.ones(1), field, origin, 1.0, 0.5)
+        for row, count in (([np.nan, 1.0, 1.0], 1), ([np.inf, -np.inf, 1.0], 2)):
+            bad = np.array([row, [2.0, 2.0, 2.0]])
+            with pytest.raises(ValueError, match=f"{count} non-finite coordinate"):
+                _kernels.splat(bad, np.ones(2), field.shape, origin, 1.0, 0.5)
+            with pytest.raises(ValueError, match=f"{count} non-finite coordinate"):
+                _kernels.splat_grad(bad, np.ones(2), field, origin, 1.0, 0.5)
         for voxel, sigma, what in ((0.0, 0.5, "voxel"), (-1.0, 0.5, "voxel"),
                                    (1.0, 0.0, "sigma"), (1.0, float("nan"), "sigma")):
             with pytest.raises(ValueError, match=f"{what} must be positive"):

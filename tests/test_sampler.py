@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.pointcloud import extract_pointcloud
-from cryoguide.priors import chain_template
+from cryoguide.priors import chain_template, two_mode_chain_prior
 from cryoguide.sampler import (GaussianMixturePrior, GuidanceContext,
                                GuidanceSchedule, NoiseSchedule, SampleStats,
                                SamplingError, ScoreModel,
@@ -15,6 +15,7 @@ from cryoguide.sampler import (GaussianMixturePrior, GuidanceContext,
                                guided_trajectory, lambda_global, make_schedule,
                                sample_guided, sample_unguided,
                                sample_with_guide, tweedie_estimate)
+from cryoguide.transport import SinkhornConfig
 
 
 class CountingModel(ScoreModel):
@@ -329,6 +330,26 @@ class TestGuidedTrajectory:
             dists["guided"].append(np.sqrt(np.mean((guided - mu) ** 2)))
             dists["plain"].append(np.sqrt(np.mean((plain - mu) ** 2)))
         assert np.mean(dists["guided"]) < np.mean(dists["plain"])
+
+    def test_cross_term_solves_recorded(self):
+        # the criterion-01 demo: minority-mode map, 7-point cloud, reach 40
+        prior, _ = two_mode_chain_prior()
+        minority = chain_template(prior.mode_coords(1))
+        dmap = simulate_map(minority, grid_for_model(minority, 1.0, pad=4.0),
+                            resolution=2.0)
+        ctx = GuidanceContext(target_map=dmap,
+                              target_cloud=extract_pointcloud(dmap, 7, seed=0),
+                              resolution=2.0,
+                              sinkhorn=SinkhornConfig(epsilon=1.0, reach=40.0))
+        sched = NoiseSchedule(sigma_min=0.064, sigma_max=2560.0, n_steps=200,
+                              churn=0.4)
+        _, stats = guided_trajectory(prior, None, ctx, sched,
+                                     make_schedule("synthetic"), seed=0)
+        assert stats.global_evals == 25
+        assert stats.ot_cross_solves == stats.global_evals
+        assert stats.ot_cross_unconverged == 0
+        assert stats.ot_cross_solves <= stats.ot_cross_iterations \
+            <= 60 * stats.ot_cross_solves
 
     def test_sample_guided_writes_template(self):
         prior, template, ctx = two_atom_system()
