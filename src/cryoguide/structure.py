@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,27 @@ class Atom:
         object.__setattr__(self, "pos", pos)
 
 
+def _checked_atom(element, pos, chain_id, res_index, res_name, atom_name) -> Atom:
+    """Atom built without Atom's per-atom checks, for fields the caller has
+    checked: an upper-case element in ATOMIC_NUMBERS and a finite float64
+    (3,) `pos`."""
+    atom = object.__new__(Atom)
+    set_field = object.__setattr__
+    set_field(atom, "element", element)
+    set_field(atom, "pos", pos)
+    set_field(atom, "chain_id", chain_id)
+    set_field(atom, "res_index", res_index)
+    set_field(atom, "res_name", res_name)
+    set_field(atom, "atom_name", atom_name)
+    return atom
+
+
+def _non_finite_row(coords: np.ndarray) -> int | None:
+    """Index of the first row of an (N, 3) array holding a NaN or inf, if any."""
+    finite = np.isfinite(coords).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 @dataclass(frozen=True)
 class AtomicModel:
     atoms: tuple[Atom, ...]
@@ -58,8 +80,13 @@ class AtomicModel:
 
     def with_coords(self, coords: np.ndarray, provenance: str | None = None) -> "AtomicModel":
         """Copy of the model with coordinates replaced, metadata preserved."""
-        coords = np.asarray(coords, dtype=np.float64).reshape(len(self.atoms), 3)
-        atoms = tuple(replace(a, pos=p) for a, p in zip(self.atoms, coords))
+        coords = np.array(coords, dtype=np.float64).reshape(len(self.atoms), 3)
+        row = _non_finite_row(coords)
+        if row is not None:
+            raise ValueError(f"non-finite atom position {coords[row]} (atom {row})")
+        atoms = tuple(_checked_atom(a.element, p, a.chain_id, a.res_index,
+                                    a.res_name, a.atom_name)
+                      for a, p in zip(self.atoms, coords))
         return AtomicModel(atoms, self.provenance if provenance is None else provenance)
 
 
@@ -82,7 +109,7 @@ def _infer_element(name_field: str) -> str:
 
 def read_pdb(path) -> AtomicModel:
     """Parse ATOM records: first model, altloc ' '/'A', occupancy > 0, no hydrogens."""
-    atoms = []
+    fields, xyz, linenos = [], [], []
     in_first_model = True
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -120,21 +147,45 @@ def read_pdb(path) -> AtomicModel:
                 res_index = int(line[22:26])
             except ValueError as exc:
                 raise PdbFormatError(f"line {lineno}: bad residue number: {exc}") from exc
-            atoms.append(Atom(
-                element=element,
-                pos=(x, y, z),
-                chain_id=line[21],
-                res_index=res_index,
-                res_name=line[17:20].strip() or "UNK",
-                atom_name=line[12:16].strip(),
-            ))
-    if not atoms:
+            fields.append((element, line[21], res_index,
+                           line[17:20].strip() or "UNK", line[12:16].strip()))
+            xyz.append((x, y, z))
+            linenos.append(lineno)
+    if not fields:
         raise PdbFormatError(f"{path}: no usable ATOM records")
-    return AtomicModel(tuple(atoms), provenance=str(path))
+    coords = np.array(xyz, dtype=np.float64)
+    row = _non_finite_row(coords)
+    if row is not None:
+        raise PdbFormatError(f"line {linenos[row]}: non-finite coordinate {coords[row]}")
+    atoms = tuple(_checked_atom(element, p, chain_id, res_index, res_name, atom_name)
+                  for (element, chain_id, res_index, res_name, atom_name), p
+                  in zip(fields, coords))
+    return AtomicModel(atoms, provenance=str(path))
+
+
+_ATOM_RECORD = "ATOM  %5d %-4s %3s %s%4d    %8.3f%8.3f%8.3f  1.00  0.00          %2s"
+_TER_RECORD = "TER   %5d      %3s %s%4d"
+
+
+def _field_width_error(atom: Atom) -> str | None:
+    """What of `atom` does not fit its fixed-width PDB column, if anything."""
+    if not (isinstance(atom.res_index, numbers.Integral) and -999 <= atom.res_index <= 9999):
+        return f"residue number {atom.res_index!r} (an integer from -999 to 9999)"
+    if len(atom.atom_name) > 4:
+        return f"atom name {atom.atom_name!r} (at most 4 characters)"
+    if len(atom.res_name) > 3:
+        return f"residue name {atom.res_name!r} (at most 3 characters)"
+    if len(atom.chain_id) != 1:
+        return f"chain ID {atom.chain_id!r} (exactly 1 character)"
+    return None
 
 
 def write_pdb(model: AtomicModel, path) -> None:
-    """Emit fixed-width ATOM records with TER per chain and END."""
+    """Emit fixed-width ATOM records with TER per chain and END.
+
+    A value that does not fit its column (coordinate, residue number, serial,
+    atom, residue or chain name) raises ValueError before anything is written.
+    """
     if not model.atoms:
         raise ValueError("write_pdb: empty model")
     coords = model.coords()
@@ -146,22 +197,25 @@ def write_pdb(model: AtomicModel, path) -> None:
     lines = []
     serial = 0
     prev = model.atoms[0]
-    for atom in model.atoms:
+    for atom, (x, y, z) in zip(model.atoms, coords.tolist()):
+        problem = _field_width_error(atom)
+        if problem:
+            raise ValueError(f"write_pdb: {problem} does not fit its fixed-width PDB column")
         if atom.chain_id != prev.chain_id:
             serial += 1
-            lines.append(f"TER   {serial:5d}      {prev.res_name:>3s} "
-                         f"{prev.chain_id}{prev.res_index:4d}")
+            lines.append(_TER_RECORD % (serial, prev.res_name, prev.chain_id, prev.res_index))
         serial += 1
         name = atom.atom_name
         if len(name) < 4 and len(atom.element) == 1:
             name = " " + name
-        lines.append(
-            f"ATOM  {serial:5d} {name:<4s} {atom.res_name:>3s} {atom.chain_id}"
-            f"{atom.res_index:4d}    {atom.pos[0]:8.3f}{atom.pos[1]:8.3f}{atom.pos[2]:8.3f}"
-            f"{1.0:6.2f}{0.0:6.2f}          {atom.element:>2s}")
+        lines.append(_ATOM_RECORD % (serial, name, atom.res_name, atom.chain_id,
+                                     atom.res_index, x, y, z, atom.element))
         prev = atom
     serial += 1
-    lines.append(f"TER   {serial:5d}      {prev.res_name:>3s} {prev.chain_id}{prev.res_index:4d}")
+    if serial > 99999:
+        raise ValueError(f"write_pdb: {serial} records overflow the 5-digit PDB "
+                         "serial number (at most 99999, TER records included)")
+    lines.append(_TER_RECORD % (serial, prev.res_name, prev.chain_id, prev.res_index))
     lines.append("END")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

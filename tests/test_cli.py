@@ -94,6 +94,13 @@ class TestPointcloud:
         assert rc == 1
         assert "supply -k or --model" in capsys.readouterr().err
 
+    def test_negative_k_rejected(self, workdir, tmp_path, capsys):
+        rc = main(["pointcloud", str(workdir / "chain.mrc"),
+                   "-o", str(tmp_path / "c.tsv"), "-k", "-3"])
+        assert rc == 1
+        assert "k must be >= 1, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "c.tsv").exists()
+
 
 class TestScore:
     def test_identity_keyval(self, workdir, capsys):

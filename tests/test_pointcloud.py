@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cryoguide.pointcloud import (PointCloud, cluster_count,
+from cryoguide.pointcloud import (PointCloud, _assign, cluster_count,
                                   extract_pointcloud, kmeans_objective)
 from cryoguide.volume import DensityMap
 
@@ -35,6 +35,68 @@ def brute_force_objective(pts, w, k):
     with np.errstate(invalid="ignore", divide="ignore"):
         per_cluster = np.where(W > 0, np.sum(s ** 2, axis=2) / np.where(W > 0, W, 1.0), 0.0)
     return float(np.min(total - per_cluster.sum(axis=1)))
+
+
+def reference_kmeans_once(pts, w, k, rng):
+    """The (N, k, 3) broadcast and per-cluster np.average loop that
+    _kmeans_once replaced, kept as the bitwise oracle."""
+    centers = np.empty((k, 3))
+    centers[0] = pts[rng.choice(len(pts), p=w / w.sum())]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        p = w * d2
+        total = p.sum()
+        if total <= 0:
+            centers[j] = pts[rng.integers(len(pts))]
+        else:
+            centers[j] = pts[rng.choice(len(pts), p=p / total)]
+        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+
+    for _ in range(100):
+        dist2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(dist2, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            sel = labels == j
+            if sel.any():
+                new_centers[j] = np.average(pts[sel], axis=0, weights=w[sel])
+            else:
+                worst = np.argmax(w * dist2[np.arange(len(pts)), labels])
+                new_centers[j] = pts[worst]
+        if np.max(np.abs(new_centers - centers)) < 1e-4:
+            centers = new_centers
+            break
+        centers = new_centers
+    dist2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(dist2, axis=1)
+    objective = float(np.sum(w * dist2[np.arange(len(pts)), labels]))
+    return centers, labels, objective
+
+
+def reference_extract(dmap, k, seed=0, restarts=10):
+    """extract_pointcloud before grouped sums; returns the cloud and the
+    best restart's objective."""
+    pos = dmap.data > 0
+    pts = np.argwhere(pos) * dmap.voxel_size + dmap.origin
+    w = dmap.data[pos]
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        centers, labels, obj = reference_kmeans_once(pts, w, k, rng)
+        if best is None or obj < best[2]:
+            best = (centers, labels, obj)
+    centers, labels, obj = best
+    shares = np.array([w[labels == j].sum() for j in range(k)])
+    return PointCloud(points=centers, weights=shares), obj
+
+
+def assert_matches_reference(dmap, k, seed, restarts=10):
+    got = extract_pointcloud(dmap, k, seed=seed, restarts=restarts)
+    want, objective = reference_extract(dmap, k, seed=seed, restarts=restarts)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert kmeans_objective(dmap, got.points) == objective
+    return got
 
 
 class TestPointCloud:
@@ -148,3 +210,62 @@ class TestExtractPointcloud:
         pc = extract_pointcloud(dmap, k=2)
         got = {tuple(p) for p in pc.points}
         assert got == {(0.0, 0.0, 0.0), (5.0, 5.0, 5.0)}
+
+
+class TestMatchesReference:
+    """Bitwise equal to the broadcast-and-np.average k-means it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_maps(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        data = np.where(rng.random((12, 11, 10)) < 0.4, rng.lognormal(0, 1.5, (12, 11, 10)), 0.0)
+        origin = (-7.25, 0.0, -0.0) if seed % 2 else (3.5, -1.0, 12.0)
+        dmap = DensityMap(data, 0.9, np.array(origin))
+        assert_matches_reference(dmap, k=int(2 + 3 * seed), seed=seed, restarts=4)
+
+    def test_one_cluster_beyond_a_pairwise_block(self):
+        # 10,648 voxels in one cluster: the weight sum spans more than one
+        # 8,192-element block of NumPy's pairwise summation
+        rng = np.random.default_rng(4)
+        dmap = DensityMap(rng.random((22, 22, 22)) + 0.01, 1.0, np.zeros(3))
+        assert_matches_reference(dmap, k=1, seed=0, restarts=2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_between_two_centers(self, seed):
+        # three equal voxels on a line: centers seeded on the two ends are
+        # equidistant from the middle one, which goes to the lower index
+        data = np.ones((3, 1, 1))
+        dmap = DensityMap(data, 1.0, np.zeros(3))
+        got = assert_matches_reference(dmap, k=2, seed=seed, restarts=1)
+        assert sorted(got.weights.tolist()) == pytest.approx([1 / 3, 2 / 3])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_empty_cluster_repair(self, seed):
+        # at an origin of 1e17 A (float spacing 16 A) the four voxels collapse
+        # onto two positions, so seeding repeats a center, the tie rule
+        # leaves its cluster empty and the repair moves it
+        data = np.zeros((32, 1, 1))
+        data[[0, 1, 30, 31], 0, 0] = [1.0, 2.0, 0.5, 1.5]
+        dmap = DensityMap(data, 1.0, np.array([1e17, 0.0, 0.0]))
+        got = assert_matches_reference(dmap, k=3, seed=seed, restarts=1)
+        assert sorted(got.weights.tolist()) == [0.0, 0.4, 0.6]
+
+    def test_assign_ties_go_to_lowest_index(self):
+        cols = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        centers = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        labels, d2min = _assign(cols, centers)
+        assert labels.tolist() == [0, 1, 0]
+        assert d2min.tolist() == [1.0, 0.0, 0.0]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_bad_k(self, k):
+        dmap = map_from_voxels([(0, 0, 0), (3, 3, 3)], [1.0, 1.0])
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            extract_pointcloud(dmap, k=k)
+
+    def test_bad_restarts(self):
+        dmap = map_from_voxels([(0, 0, 0), (3, 3, 3)], [1.0, 1.0])
+        with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+            extract_pointcloud(dmap, k=1, restarts=0)

@@ -16,6 +16,33 @@ def atom_line(serial=1, name=" CA ", altloc=" ", res="GLY", chain="A",
             f"          {element:>2s}")
 
 
+def reference_write_pdb(model, path):
+    """write_pdb as it was with one f-string per record, kept as the
+    byte-for-byte oracle."""
+    lines = []
+    serial = 0
+    prev = model.atoms[0]
+    for atom in model.atoms:
+        if atom.chain_id != prev.chain_id:
+            serial += 1
+            lines.append(f"TER   {serial:5d}      {prev.res_name:>3s} "
+                         f"{prev.chain_id}{prev.res_index:4d}")
+        serial += 1
+        name = atom.atom_name
+        if len(name) < 4 and len(atom.element) == 1:
+            name = " " + name
+        lines.append(
+            f"ATOM  {serial:5d} {name:<4s} {atom.res_name:>3s} {atom.chain_id}"
+            f"{atom.res_index:4d}    {atom.pos[0]:8.3f}{atom.pos[1]:8.3f}{atom.pos[2]:8.3f}"
+            f"{1.0:6.2f}{0.0:6.2f}          {atom.element:>2s}")
+        prev = atom
+    serial += 1
+    lines.append(f"TER   {serial:5d}      {prev.res_name:>3s} {prev.chain_id}{prev.res_index:4d}")
+    lines.append("END")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_lines(tmp_path, lines, fname="m.pdb"):
     path = tmp_path / fname
     path.write_text("\n".join(lines) + "\n")
@@ -127,6 +154,13 @@ class TestReadPdb:
         with pytest.raises(PdbFormatError, match="line 1.*coordinate"):
             read_pdb(path)
 
+    @pytest.mark.parametrize("value", ["     nan", "     inf", "    -inf"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, value):
+        bad = atom_line(serial=2, resseq=2).replace("   1.000", value, 1)
+        path = write_lines(tmp_path, [atom_line(serial=1), bad, atom_line(serial=3, resseq=3)])
+        with pytest.raises(PdbFormatError, match="line 2: non-finite coordinate"):
+            read_pdb(path)
+
     def test_empty_file_errors(self, tmp_path):
         path = write_lines(tmp_path, ["REMARK empty"])
         with pytest.raises(PdbFormatError, match="no usable ATOM"):
@@ -195,6 +229,65 @@ class TestWritePdb:
         with pytest.raises(ValueError, match="empty"):
             write_pdb(AtomicModel(()), tmp_path / "empty.pdb")
 
+    @pytest.mark.parametrize("fields,match", [
+        (dict(res_index=12345), "residue number 12345"),
+        (dict(res_index=10000), "residue number 10000"),
+        (dict(res_index=-1000), "residue number -1000"),
+        (dict(res_index=1.5), "residue number 1.5"),
+        (dict(atom_name="CA123"), "atom name 'CA123'"),
+        (dict(res_name="GLYX"), "residue name 'GLYX'"),
+        (dict(chain_id="AB"), "chain ID 'AB'"),
+        (dict(chain_id=""), "chain ID ''"),
+    ])
+    def test_field_overflow_errors(self, tmp_path, fields, match):
+        atoms = (Atom("C", (0, 0, 0), "A", 1),
+                 Atom(**{**dict(element="C", pos=(1, 0, 0), chain_id="A",
+                                res_index=2, res_name="GLY", atom_name="CA"),
+                         **fields}))
+        path = tmp_path / "wide.pdb"
+        with pytest.raises(ValueError, match=match):
+            write_pdb(AtomicModel(atoms), path)
+        assert not path.exists()
+
+    def test_field_limits_written(self, tmp_path):
+        atoms = (Atom("C", (0, 0, 0), "A", -999, "GLY", "CA"),
+                 Atom("C", (1, 0, 0), "A", 9999, "GLY", "CA"))
+        path = tmp_path / "edge.pdb"
+        write_pdb(AtomicModel(atoms), path)
+        assert [a.res_index for a in read_pdb(path).atoms] == [-999, 9999]
+
+    def test_serial_overflow_errors(self, tmp_path):
+        # 99,998 atoms in one chain end on TER serial 99,999 and fit; one
+        # more chain break pushes the last TER to 100,001
+        atom = Atom("C", (0, 0, 0), "A", 1)
+        fits = AtomicModel((atom,) * 99998)
+        write_pdb(fits, tmp_path / "fits.pdb")
+        last = (tmp_path / "fits.pdb").read_text().splitlines()[-2]
+        assert last.startswith("TER   99999")
+        wide = AtomicModel((atom,) * 99998 + (Atom("C", (0, 0, 0), "B", 1),))
+        with pytest.raises(ValueError, match="100001 records overflow"):
+            write_pdb(wide, tmp_path / "wide.pdb")
+        assert not (tmp_path / "wide.pdb").exists()
+
+    def test_bytes_match_reference_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        specs = [("N", "N", "ALA"), ("C", "CA", "ALA"), ("C", "C", "ALA"),
+                 ("O", "O", "ALA"), ("FE", "FE", "HEM"), ("C", "HG21", "THR"),
+                 ("ZN", "ZN", "ZN"), ("S", "SG", "CYS"), ("CA", "CA", "CA")]
+        atoms = []
+        for i in range(60):
+            element, name, res = specs[i % len(specs)]
+            pos = rng.uniform(-999.0, 9999.0, 3) if i % 7 else rng.uniform(-20, 20, 3)
+            if i % 11 == 0:
+                pos[:2] = (-0.0, -0.0004)        # both write as -0.000
+            atoms.append(Atom(element, pos, "ABC"[i // 20], i % 20 + 1 - 5 * (i % 3), res, name))
+        model = AtomicModel(tuple(atoms))
+        write_pdb(model, tmp_path / "new.pdb")
+        reference_write_pdb(model, tmp_path / "ref.pdb")
+        got = (tmp_path / "new.pdb").read_bytes()
+        assert got == (tmp_path / "ref.pdb").read_bytes()
+        assert b"  -0.000  -0.000" in got and b" HG21 THR" in got
+
 
 class TestSubsets:
     def _model(self):
@@ -224,6 +317,21 @@ class TestAtomicModel:
         m2 = m.with_coords(np.array([[9.0, 9.0, 9.0]]))
         assert m2.atoms[0].res_name == "ALA" and m2.provenance == "x"
         np.testing.assert_allclose(m2.atoms[0].pos, [9.0, 9.0, 9.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_with_coords_rejects_non_finite(self, bad):
+        m = AtomicModel((Atom("N", (0, 0, 0)), Atom("C", (1, 0, 0))))
+        coords = np.zeros((2, 3))
+        coords[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            m.with_coords(coords)
+
+    def test_with_coords_copies_input(self):
+        m = AtomicModel((Atom("N", (0, 0, 0)),))
+        coords = np.array([[1.0, 2.0, 3.0]])
+        m2 = m.with_coords(coords)
+        coords[0, 0] = 9.0
+        assert m2.atoms[0].pos.tolist() == [1.0, 2.0, 3.0]
 
     def test_atomic_numbers(self):
         atoms = (Atom("C", (0, 0, 0)), Atom("O", (1, 0, 0)), Atom("FE", (2, 0, 0)))
