@@ -1,21 +1,14 @@
-"""Splatting kernel backend selection.
+"""Splatting kernels with checked inputs.
 
-Uses the compiled Cython extension when it imports and falls back to the
-pure-numpy implementation otherwise.  `splat` and `splat_grad` check their
-inputs here, before either backend sees them: a non-finite coordinate would
-otherwise drop its atom silently.
+`splat` and `splat_grad` check their inputs here, then call the NumPy kernels
+in `_splat_py`: a non-finite coordinate would otherwise drop its atom silently.
 """
 
 import numpy as np
 
-try:
-    from . import _splat_cy as _backend
+from . import _splat_py
 
-    BACKEND = "cython"
-except ImportError:
-    from . import _splat_py as _backend
-
-    BACKEND = "python"
+BACKEND = "python"  # re-exported as cryoguide.KERNEL_BACKEND
 
 
 def _checked(coords, amps, voxel, sigma):
@@ -38,12 +31,12 @@ def _checked(coords, amps, voxel, sigma):
 
 def splat(coords, amps, shape, origin, voxel, sigma):
     coords, amps = _checked(coords, amps, voxel, sigma)
-    return _backend.splat(coords, amps, shape, origin, voxel, sigma)
+    return _splat_py.splat(coords, amps, shape, origin, voxel, sigma)
 
 
 def splat_grad(coords, amps, field, origin, voxel, sigma):
     coords, amps = _checked(coords, amps, voxel, sigma)
-    return _backend.splat_grad(coords, amps, field, origin, voxel, sigma)
+    return _splat_py.splat_grad(coords, amps, field, origin, voxel, sigma)
 
 
 __all__ = ["splat", "splat_grad", "BACKEND"]

@@ -1,6 +1,6 @@
-"""Pure-numpy splatting kernels (fallback when the compiled extension is absent).
+"""The NumPy splatting kernels, the only implementation of the Gaussian splat.
 
-Both backends implement the same contract:
+The contract (inputs are checked by `cryoguide._kernels` before they get here):
 
   splat(coords, amps, shape, origin, voxel, sigma) -> (w, h, d) float64 array
       Accumulates one truncated Gaussian per atom:

@@ -30,6 +30,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (value >= 0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {text}")
+    return value
+
+
 def cmd_simulate_map(args) -> int:
     model = read_pdb(args.model)
     shape = tuple(args.shape) if args.shape else None
@@ -160,12 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nominal resolution (A)")
     p.add_argument("--voxel", type=_positive_float, default=1.0,
                    help="voxel size (A)")
-    p.add_argument("--pad", type=float, default=4.0,
+    p.add_argument("--pad", type=_nonnegative_float, default=4.0,
                    help="padding around the model (A)")
     p.add_argument("--shape", type=int, nargs=3, metavar=("W", "H", "D"),
                    help="fixed grid dimensions centered on the model")
-    p.add_argument("--blur", type=float, default=0.0,
-                   help="extra Gaussian blur sigma (A)")
+    p.add_argument("--blur", type=_nonnegative_float, default=0.0,
+                   help="extra Gaussian blur sigma (A); 0 = none")
     p.set_defaults(func=cmd_simulate_map)
 
     p = sub.add_parser("pointcloud", help="extract a weighted point cloud")

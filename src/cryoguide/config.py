@@ -74,18 +74,14 @@ class RunConfig:
 
     def guidance_schedule(self) -> GuidanceSchedule:
         if self.schedule_kind == "custom":
-            gs = GuidanceSchedule(self.t_warm, self.t_global, self.t_local,
-                                  self.t_relax,
-                                  lambda_global_start=self.lambda_global_start,
-                                  lambda_global_end=self.lambda_global_end,
-                                  lambda_local=self.lambda_local)
+            stages = (self.t_warm, self.t_global, self.t_local, self.t_relax)
         else:
             base = make_schedule(self.schedule_kind, self.n_steps)
-            gs = GuidanceSchedule(base.t_warm, base.t_global, base.t_local,
-                                  base.t_relax,
-                                  lambda_global_start=self.lambda_global_start,
-                                  lambda_global_end=self.lambda_global_end,
-                                  lambda_local=self.lambda_local)
+            stages = (base.t_warm, base.t_global, base.t_local, base.t_relax)
+        gs = GuidanceSchedule(*stages,
+                              lambda_global_start=self.lambda_global_start,
+                              lambda_global_end=self.lambda_global_end,
+                              lambda_local=self.lambda_local)
         if gs.n_steps != self.n_steps:
             raise ConfigError(f"guidance stages sum to {gs.n_steps}, "
                               f"n_steps = {self.n_steps}")

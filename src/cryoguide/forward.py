@@ -32,8 +32,8 @@ class BlurOperator:
     sigma_b: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_b < 0:
-            raise ValueError(f"blur width must be >= 0, got {self.sigma_b}")
+        if not (np.isfinite(self.sigma_b) and self.sigma_b >= 0):
+            raise ValueError(f"blur width must be finite and >= 0, got {self.sigma_b}")
 
     def kernel1d(self, voxel_size: float) -> np.ndarray:
         """Symmetric 1D kernel truncated at 4 sigma, renormalized to unit sum."""
@@ -76,6 +76,8 @@ def grid_for_model(model: AtomicModel, voxel_size: float, pad: float,
     If `shape` is given the grid is centered on the model with that fixed shape
     instead (used to reproduce fixed-dimension simulated maps).
     """
+    if not (np.isfinite(pad) and pad >= 0):
+        raise ValueError(f"pad must be finite and >= 0, got {pad}")
     coords = model.coords()
     if shape is None:
         lo = coords.min(axis=0) - pad

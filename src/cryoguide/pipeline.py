@@ -53,6 +53,14 @@ def _worker_count() -> int:
     return n
 
 
+def _check_run_shape(cfg: RunConfig) -> None:
+    """Reject a run shape that makes no samples, before any file is written."""
+    for key, least in (("n_samples", 1), ("n_replicates", 1), ("dock_rotations", 0)):
+        value = getattr(cfg, key)
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
+
+
 def _sample_seed(cfg_seed: int, rep: int, j: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(cfg_seed, spawn_key=(rep, j))
 
@@ -152,6 +160,7 @@ def run_guided(cfg: RunConfig) -> list[SampleRecord]:
     Per-sample failures are logged and recorded; the run only fails outright
     when nothing succeeds.
     """
+    _check_run_shape(cfg)
     if not cfg.map:
         raise ConfigError("config needs a map path")
     if not os.path.exists(cfg.map):
@@ -205,6 +214,7 @@ def run_guided(cfg: RunConfig) -> list[SampleRecord]:
 
 def run_unguided(cfg: RunConfig) -> list[SampleRecord]:
     """Unguided baseline run with the same output layout as the guided one."""
+    _check_run_shape(cfg)
     if cfg.map and not os.path.exists(cfg.map):
         raise ConfigError(f"map file not found: {cfg.map}")
     prior, template = _prior_and_template(cfg)

@@ -46,6 +46,11 @@ def base_config(workdir, outdir, extra=""):
     return path
 
 
+BAD_RUN_SHAPES = [("n_samples=0", "n_samples must be >= 1, got 0"),
+                  ("n_replicates=0", "n_replicates must be >= 1, got 0"),
+                  ("dock_rotations=-1", "dock_rotations must be >= 0, got -1")]
+
+
 class TestSimulateMap:
     def test_matches_library_call(self, workdir):
         model = read_pdb(workdir / "chain.pdb")
@@ -62,6 +67,19 @@ class TestSimulateMap:
                   "--resolution", "0"])
         assert exc.value.code == 2
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--pad", "nan"), ("--pad", "inf"), ("--pad", "-50"),
+        ("--blur", "-1"), ("--blur", "nan"), ("--blur", "inf")])
+    def test_bad_pad_or_blur_rejected_by_parser(self, workdir, tmp_path, capsys,
+                                                flag, value):
+        out = tmp_path / "x.mrc"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-map", str(workdir / "chain.pdb"), "-o", str(out),
+                  "--resolution", "2", flag, value])
+        assert exc.value.code == 2
+        assert "must be non-negative and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_fails(self, workdir, tmp_path, capsys):
         rc = main(["simulate-map", str(tmp_path / "none.pdb"),
@@ -364,6 +382,14 @@ class TestGuide:
                      "--set", "warp_speed=9"]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting,message", BAD_RUN_SHAPES)
+    def test_empty_run_shape_rejected(self, workdir, tmp_path, capsys,
+                                      setting, message):
+        cfg = base_config(workdir, tmp_path)
+        assert main(["guide", "--config", str(cfg), "--set", setting]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.tsv").exists()
+
     def test_bad_stage_sum(self, workdir, tmp_path, capsys):
         cfg = base_config(workdir, tmp_path)
         assert main(["guide", "--config", str(cfg),
@@ -372,6 +398,15 @@ class TestGuide:
 
 
 class TestSampleCommand:
+    @pytest.mark.parametrize("setting,message", BAD_RUN_SHAPES)
+    def test_empty_run_shape_rejected(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text(f"outdir = {tmp_path / 'out'}\n"
+                       "n_steps = 40\nn_samples = 2\nn_replicates = 1\n")
+        assert main(["sample", "--config", str(cfg), "--set", setting]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.tsv").exists()
+
     def test_runs_without_map(self, workdir, tmp_path):
         cfg = tmp_path / "u.cfg"
         cfg.write_text(f"outdir = {tmp_path / 'out'}\n"
