@@ -37,6 +37,13 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 def cmd_simulate_map(args) -> int:
     model = read_pdb(args.model)
     shape = tuple(args.shape) if args.shape else None
@@ -75,7 +82,8 @@ def cmd_guide(args) -> int:
 def cmd_sample(args) -> int:
     cfg = load_config(args.config, args.set or ())
     records = run_unguided(cfg)
-    log.info("unguided run complete: %d samples", len(records))
+    n_ok = sum(1 for r in records if r.status == "ok")
+    log.info("unguided run complete: %d/%d samples ok", n_ok, len(records))
     return 0
 
 
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="remove connected components smaller than this")
     p.add_argument("--crop", action="store_true",
                    help="crop to the above-level bounding box plus --pad")
-    p.add_argument("--pad", type=int, default=2, help="crop padding (voxels)")
+    p.add_argument("--pad", type=_nonnegative_int, default=2, help="crop padding (voxels)")
     p.add_argument("--mask-model", default="", help="keep density near this PDB")
     p.add_argument("--mask-radius", type=_positive_float, default=4.0,
                    help="mask radius (A)")

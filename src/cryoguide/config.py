@@ -20,7 +20,7 @@ class RunConfig:
     template: str = ""
     outdir: str = "out"
 
-    # prior registry
+    # prior: "chain-two-mode" or "chain-single"
     prior: str = "chain-two-mode"
     prior_hinge_deg: float = 72.0
     prior_tau: float = 1.0
@@ -58,7 +58,6 @@ class RunConfig:
     # registration protocol
     register: bool = False
     dock_rotations: int = 576
-    dock_per_sample: bool = False
 
     # run shape
     n_samples: int = 25
@@ -111,14 +110,14 @@ def _coerce(key: str, text: str):
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+    convert = {"int": int, "float": float}.get(typ, str)
     try:
-        if typ == "int":
-            return int(text)
-        if typ == "float":
-            return float(text)
+        value = convert(text)
     except ValueError:
         raise ConfigError(f"{key}: expected {typ}, got {text!r}") from None
-    return text
+    if value != value:  # NaN
+        raise ConfigError(f"{key}: expected a number, got {text!r}")
+    return value
 
 
 def apply_setting(cfg: RunConfig, key: str, value: str) -> None:

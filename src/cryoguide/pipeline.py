@@ -20,10 +20,10 @@ from .alignment import dock_to_map
 from .config import ConfigError, RunConfig
 from .metrics import evaluate, rscc
 from .pointcloud import cluster_count, extract_pointcloud
-from .priors import chain_template, make_prior
+from .priors import chain_template, single_mode_chain_prior, two_mode_chain_prior
 from .forward import BlurOperator
 from .sampler import GuidanceContext, sample_guided, sample_unguided
-from .structure import AtomicModel, read_pdb, write_pdb
+from .structure import read_pdb, write_pdb
 from .volume import DensityMap, read_mrc
 
 log = logging.getLogger(__name__)
@@ -67,11 +67,11 @@ def _sample_seed(cfg_seed: int, rep: int, j: int) -> np.random.SeedSequence:
 
 def _prior_and_template(cfg: RunConfig):
     if cfg.prior == "chain-two-mode":
-        prior, template = make_prior(cfg.prior, hinge_deg=cfg.prior_hinge_deg,
-                                     tau=cfg.prior_tau,
-                                     minor_weight=cfg.prior_minor_weight)
+        prior, template = two_mode_chain_prior(hinge_deg=cfg.prior_hinge_deg,
+                                               tau=cfg.prior_tau,
+                                               minor_weight=cfg.prior_minor_weight)
     elif cfg.prior == "chain-single":
-        prior, template = make_prior(cfg.prior, tau=cfg.prior_tau)
+        prior, template = single_mode_chain_prior(tau=cfg.prior_tau)
     else:
         raise ConfigError(f"unknown prior {cfg.prior!r}")
     if cfg.template:
@@ -82,22 +82,19 @@ def _prior_and_template(cfg: RunConfig):
     return prior, template
 
 
-def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int,
-                  ref_index: int | None = None) -> GuidanceContext:
+def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int
+                  ) -> GuidanceContext:
     """Assemble the guidance inputs for one replicate: point cloud, blur, and —
     when registration is on — an unguided reference docked into the map.
 
-    `ref_index` selects the RNG stream of the reference sample; the default
-    (one past the sample indices) gives one shared reference per replicate.
+    The reference draws from the RNG stream one past the sample indices.
     """
     k = cfg.k_points or cluster_count(prior.n_atoms, dmap.voxel_size)
     cloud = extract_pointcloud(dmap, k, seed=cfg.seed)
     blur = BlurOperator(sigma_b=cfg.blur_sigma)
     reference = None
     if cfg.register:
-        if ref_index is None:
-            ref_index = cfg.n_samples
-        ref_seed = _sample_seed(cfg.seed, rep, ref_index)
+        ref_seed = _sample_seed(cfg.seed, rep, cfg.n_samples)
         ref_coords = sample_unguided(prior, None, cfg.noise_schedule(), ref_seed)
         ref_model = chain_template(ref_coords)
         transform, score = dock_to_map(ref_model, dmap, cfg.resolution,
@@ -112,23 +109,25 @@ def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int,
                            reference=reference)
 
 
-def _run_one_guided(task):
-    """One guided sample; any failure is returned, not raised, so that it
-    fails this sample alone and the serial and the pooled map record it the
-    same way."""
+def _run_one(task):
+    """One sample, guided unless the task has no guidance context; any failure
+    is returned, not raised, so that it fails this sample alone and the serial
+    and the pooled map record it the same way."""
     prior, template, ctx, schedule, gsched, seed = task
     try:
+        if ctx is None:
+            return template.with_coords(sample_unguided(prior, None, schedule, seed))
         return sample_guided(prior, None, ctx, schedule, gsched, template, seed)
     except Exception as exc:
         # the traceback does not survive the trip back from a worker process
-        log.debug("guided sample failed", exc_info=True)
+        log.debug("sample failed", exc_info=True)
         return exc
 
 
 def _submit(pool: ProcessPoolExecutor, task) -> Future:
     """Submit one sample; a pool already broken gives a future holding that error."""
     try:
-        return pool.submit(_run_one_guided, task)
+        return pool.submit(_run_one, task)
     except BrokenProcessPool as exc:
         failed = Future()
         failed.set_exception(exc)
@@ -143,7 +142,7 @@ def _map_samples(tasks, workers: int):
     the next replicate starts a fresh pool.
     """
     if workers == 1:
-        yield from map(_run_one_guided, tasks)
+        yield from map(_run_one, tasks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [_submit(pool, task) for task in tasks]
@@ -154,22 +153,22 @@ def _map_samples(tasks, workers: int):
                 yield RuntimeError(f"worker process died: {exc}")
 
 
-def run_guided(cfg: RunConfig) -> list[SampleRecord]:
-    """Full guided run: every replicate and sample, manifest, and summary.
+def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
+    """Every replicate and sample, the manifest and the summary.
 
     Per-sample failures are logged and recorded; the run only fails outright
     when nothing succeeds.
     """
     _check_run_shape(cfg)
-    if not cfg.map:
+    if guided and not cfg.map:
         raise ConfigError("config needs a map path")
-    if not os.path.exists(cfg.map):
+    if cfg.map and not os.path.exists(cfg.map):
         raise ConfigError(f"map file not found: {cfg.map}")
-    dmap = read_mrc(cfg.map)
+    dmap = read_mrc(cfg.map) if cfg.map else None
     prior, template = _prior_and_template(cfg)
     reference = read_pdb(cfg.reference) if cfg.reference else None
     schedule = cfg.noise_schedule()
-    gsched = cfg.guidance_schedule()
+    gsched = cfg.guidance_schedule() if guided else None
 
     os.makedirs(cfg.outdir, exist_ok=True)
     records: list[SampleRecord] = []
@@ -178,16 +177,8 @@ def run_guided(cfg: RunConfig) -> list[SampleRecord]:
     for rep in range(cfg.n_replicates):
         rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
         os.makedirs(rep_dir, exist_ok=True)
-        per_sample = cfg.register and cfg.dock_per_sample
-        base_ctx = None if per_sample else build_context(cfg, dmap, prior, rep)
-
-        def ctx_for(j: int) -> GuidanceContext:
-            if per_sample:
-                return build_context(cfg, dmap, prior, rep,
-                                     ref_index=cfg.n_samples + 1 + j)
-            return base_ctx
-
-        tasks = ((prior, template, ctx_for(j), schedule, gsched,
+        ctx = build_context(cfg, dmap, prior, rep) if guided else None
+        tasks = ((prior, template, ctx, schedule, gsched,
                   _sample_seed(cfg.seed, rep, j))
                  for j in range(cfg.n_samples))
         for j, out in enumerate(_map_samples(tasks, workers)):
@@ -199,11 +190,11 @@ def run_guided(cfg: RunConfig) -> list[SampleRecord]:
                 continue
             path = os.path.join(rep_dir, f"sample{j}.pdb")
             write_pdb(out, path)
-            cc = rscc(out, dmap, cfg.resolution)
+            cc = rscc(out, dmap, cfg.resolution) if dmap is not None else None
             rmsd = evaluate(out, reference).rmsd_all if reference else None
             records.append(SampleRecord(rep, j, seed_key, path, "ok", cc,
                                         rmsd))
-            log.info("rep %d sample %d: rscc %.4f", rep, j, cc)
+            log.info("rep %d sample %d: rscc %s", rep, j, _fmt(cc) or "-")
 
     _write_manifest(cfg, records)
     _write_summary(cfg, records)
@@ -212,32 +203,14 @@ def run_guided(cfg: RunConfig) -> list[SampleRecord]:
     return records
 
 
+def run_guided(cfg: RunConfig) -> list[SampleRecord]:
+    """Density-guided run against `cfg.map`, one guidance context per replicate."""
+    return _run(cfg, guided=True)
+
+
 def run_unguided(cfg: RunConfig) -> list[SampleRecord]:
-    """Unguided baseline run with the same output layout as the guided one."""
-    _check_run_shape(cfg)
-    if cfg.map and not os.path.exists(cfg.map):
-        raise ConfigError(f"map file not found: {cfg.map}")
-    prior, template = _prior_and_template(cfg)
-    dmap = read_mrc(cfg.map) if cfg.map else None
-    reference = read_pdb(cfg.reference) if cfg.reference else None
-    schedule = cfg.noise_schedule()
-    os.makedirs(cfg.outdir, exist_ok=True)
-    records = []
-    for rep in range(cfg.n_replicates):
-        rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
-        os.makedirs(rep_dir, exist_ok=True)
-        for j in range(cfg.n_samples):
-            seed = _sample_seed(cfg.seed, rep, j)
-            coords = sample_unguided(prior, None, schedule, seed)
-            model = template.with_coords(coords)
-            path = os.path.join(rep_dir, f"sample{j}.pdb")
-            write_pdb(model, path)
-            cc = rscc(model, dmap, cfg.resolution) if dmap is not None else None
-            rmsd = evaluate(model, reference).rmsd_all if reference else None
-            records.append(SampleRecord(rep, j, f"{cfg.seed}:{rep}:{j}", path,
-                                        "ok", cc, rmsd))
-    _write_manifest(cfg, records)
-    return records
+    """Unguided baseline run; the map, when given, only scores the samples."""
+    return _run(cfg, guided=False)
 
 
 def _fmt(x: float | None) -> str:
@@ -262,8 +235,11 @@ def _write_summary(cfg: RunConfig, records: list[SampleRecord]) -> None:
             if not ok:
                 fh.write(f"{rep}\t0\t\t\t\n")
                 continue
-            best = max(ok, key=lambda r: (r.rscc, -r.index))
+            best_sample, best_rscc = "", None
+            if ok[0].rscc is not None:  # without a map nothing is ranked
+                best = max(ok, key=lambda r: (r.rscc, -r.index))
+                best_sample, best_rscc = best.index, best.rscc
             rmsds = [r.rmsd for r in ok if r.rmsd is not None]
             best_rmsd = min(rmsds) if rmsds else None
-            fh.write(f"{rep}\t{len(ok)}\t{best.index}\t{_fmt(best.rscc)}\t"
+            fh.write(f"{rep}\t{len(ok)}\t{best_sample}\t{_fmt(best_rscc)}\t"
                      f"{_fmt(best_rmsd)}\n")

@@ -72,16 +72,3 @@ def single_mode_chain_prior(tau: float = 1.0, n_beads: int = 30
     prior = GaussianMixturePrior([(a, tau, 1.0)])
     return prior, chain_template(a)
 
-
-PRIOR_BUILDERS = {
-    "chain-two-mode": two_mode_chain_prior,
-    "chain-single": single_mode_chain_prior,
-}
-
-
-def make_prior(name: str, **params) -> tuple[GaussianMixturePrior, AtomicModel]:
-    """Construct a registered prior by name."""
-    if name not in PRIOR_BUILDERS:
-        raise ValueError(f"unknown prior {name!r}; "
-                         f"choose from {sorted(PRIOR_BUILDERS)}")
-    return PRIOR_BUILDERS[name](**params)

@@ -114,11 +114,13 @@ class GaussianMixturePrior(ScoreModel):
         x = np.asarray(x, dtype=np.float64).ravel()
         dim = x.size
         s2 = self.taus ** 2 + sigma ** 2
-        logs = (np.log(self.weights)
-                - 0.5 * np.sum((x[None, :] - self.means) ** 2, axis=1) / s2
-                - 0.5 * dim * np.log(s2))
-        r = np.exp(logs - logsumexp(logs))
-        return ((r / s2)[:, None] * (self.means - x[None, :])).sum(axis=0)
+        # a diverged x gives a non-finite score, which tweedie_estimate reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            logs = (np.log(self.weights)
+                    - 0.5 * np.sum((x[None, :] - self.means) ** 2, axis=1) / s2
+                    - 0.5 * dim * np.log(s2))
+            r = np.exp(logs - logsumexp(logs))
+            return ((r / s2)[:, None] * (self.means - x[None, :])).sum(axis=0)
 
     def mode_coords(self, m: int) -> np.ndarray:
         return self.means[m].reshape(-1, 3)
@@ -140,8 +142,8 @@ class GuidanceSchedule:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("lambda_global_start", "lambda_global_end", "lambda_local"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def n_steps(self) -> int:

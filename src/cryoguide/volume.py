@@ -180,6 +180,8 @@ def crop_pad(dmap: DensityMap, level: float, pad: int) -> DensityMap:
     Padding beyond the original volume is zero-filled; world coordinates of
     retained voxels are preserved via the origin update.
     """
+    if pad < 0:
+        raise ValueError(f"crop_pad: pad must be >= 0, got {pad}")
     mask = dmap.data >= level
     if not mask.any():
         raise ValueError(f"crop_pad: no voxel reaches level {level}")

@@ -11,6 +11,7 @@ from cryoguide import pipeline
 from cryoguide.cli import main
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.priors import chain_template, hinged_chain_modes
+from cryoguide.sampler import SamplingError
 from cryoguide.structure import read_pdb, write_pdb
 from cryoguide.volume import read_mrc
 
@@ -202,6 +203,15 @@ class TestPrep:
         assert "must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_crop_pad_rejected_by_parser(self, workdir, tmp_path, capsys):
+        out = tmp_path / "prep.mrc"
+        with pytest.raises(SystemExit) as exc:
+            main(["prep", str(workdir / "chain.mrc"), "-o", str(out),
+                  "--level", "0.5", "--crop", "--pad", "-3"])
+        assert exc.value.code == 2
+        assert "must be non-negative, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGuide:
     def test_run_layout_and_manifest(self, workdir, tmp_path):
@@ -352,12 +362,12 @@ class TestGuide:
             return seed
 
         def tasks():
-            yield (None,) * 5 + ("crash",)
+            yield (None, None, "ctx", None, None, "crash")
             # hold the next task back until the pool has seen its worker die
             deadline = time.monotonic() + 30.0
             while not pools[0]._broken and time.monotonic() < deadline:
                 time.sleep(0.01)
-            yield (None,) * 5 + ("late",)
+            yield (None, None, "ctx", None, None, "late")
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(pipeline, "sample_guided", crash_or_echo)
@@ -378,9 +388,17 @@ class TestGuide:
 
     def test_unknown_config_key(self, workdir, tmp_path, capsys):
         cfg = base_config(workdir, tmp_path)
-        assert main(["guide", "--config", str(cfg),
-                     "--set", "warp_speed=9"]) == 1
-        assert "unknown config key" in capsys.readouterr().err
+        for key in ("warp_speed", "dock_per_sample"):
+            assert main(["guide", "--config", str(cfg),
+                         "--set", f"{key}=true"]) == 1
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["reach", "lambda_local", "sinkhorn_tol"])
+    def test_nan_setting_rejected(self, workdir, tmp_path, capsys, key):
+        cfg = base_config(workdir, tmp_path)
+        assert main(["guide", "--config", str(cfg), "--set", f"{key}=nan"]) == 1
+        assert f"{key}: expected a number, got 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.tsv").exists()
 
     @pytest.mark.parametrize("setting,message", BAD_RUN_SHAPES)
     def test_empty_run_shape_rejected(self, workdir, tmp_path, capsys,
@@ -415,6 +433,55 @@ class TestSampleCommand:
         manifest = (tmp_path / "out" / "manifest.tsv").read_text().splitlines()
         assert len(manifest) == 3
         assert manifest[1].split("\t")[4] == ""  # no map -> no rscc
+
+    def test_summary_without_map(self, tmp_path):
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text(f"outdir = {tmp_path / 'out'}\n"
+                       "n_steps = 40\nn_samples = 2\nn_replicates = 2\n")
+        assert main(["sample", "--config", str(cfg)]) == 0
+        summary = (tmp_path / "out" / "summary.tsv").read_text().splitlines()
+        assert summary == ["replicate\tn_ok\tbest_sample\tbest_rscc\tbest_rmsd",
+                           "0\t2\t\t\t", "1\t2\t\t\t"]
+
+    def test_parallel_matches_serial(self, workdir, tmp_path, monkeypatch):
+        cfg = base_config(workdir, tmp_path)
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CRYOGUIDE_WORKERS", workers)
+            outdir = tmp_path / f"w{workers}"
+            assert main(["sample", "--config", str(cfg),
+                         "--set", f"outdir={outdir}"]) == 0
+            outputs.append({str(p.relative_to(outdir)): p.read_bytes()
+                            for p in sorted(outdir.rglob("*")) if p.is_file()})
+        assert sorted(outputs[0]) == ["manifest.tsv", "rep0/sample0.pdb",
+                                      "rep0/sample1.pdb", "rep1/sample0.pdb",
+                                      "rep1/sample1.pdb", "summary.tsv"]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched sampler")
+    def test_failed_draw_fails_one_sample(self, workdir, tmp_path, monkeypatch):
+        real = pipeline.sample_unguided
+
+        def fail_rep0_sample1(prior, condition, schedule, seed):
+            if seed.spawn_key == (0, 1):
+                raise SamplingError("stub failure")
+            return real(prior, condition, schedule, seed)
+
+        monkeypatch.setattr(pipeline, "sample_unguided", fail_rep0_sample1)
+        cfg = base_config(workdir, tmp_path)
+        manifests = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CRYOGUIDE_WORKERS", workers)
+            outdir = tmp_path / f"w{workers}"
+            assert main(["sample", "--config", str(cfg),
+                         "--set", f"outdir={outdir}"]) == 0
+            manifests.append((outdir / "manifest.tsv").read_bytes())
+            assert not (outdir / "rep0" / "sample1.pdb").exists()
+        assert manifests[0] == manifests[1]
+        rows = [r.split("\t") for r in manifests[0].decode().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["ok", "stub failure", "ok", "ok"]
+        assert rows[1][4:] == ["", ""]
 
     def test_missing_map_fails(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "u.cfg"

@@ -10,8 +10,7 @@ displaced structure.
 import numpy as np
 import pytest
 
-from cryoguide import pipeline
-from cryoguide.alignment import RigidTransform, rotation_about
+from cryoguide.alignment import rotation_about
 from cryoguide.config import RunConfig
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.metrics import rscc
@@ -93,22 +92,3 @@ class TestRegisteredRun:
         anchor_rscc = rscc(chain_template(anchor), displaced_setup[2], 2.0)
         assert abs(anchor_rscc) < 0.05
         assert np.all([r.rscc > anchor_rscc + 0.05 for r in records])
-
-    def test_dock_per_sample_docks_once_per_sample(self, displaced_setup,
-                                                   monkeypatch):
-        # with one reference per sample, the shared per-replicate reference
-        # is never used, so it must not be docked either
-        root, _, _, _ = displaced_setup
-        docked = []
-
-        def counting_dock(model, dmap, resolution, **kwargs):
-            docked.append(model.coords())
-            return RigidTransform.identity(), 0.0
-
-        monkeypatch.setattr(pipeline, "dock_to_map", counting_dock)
-        cfg = registered_config(root, root / "per_sample")
-        cfg.dock_per_sample = True
-        records = run_guided(cfg)
-        assert [r.status for r in records] == ["ok", "ok"]
-        assert len(docked) == 2
-        assert not np.array_equal(docked[0], docked[1])

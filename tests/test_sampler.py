@@ -192,6 +192,9 @@ class TestGuidanceSchedule:
             GuidanceSchedule(-1, 10, 10, 10)
         with pytest.raises(ValueError, match="lambda_local"):
             GuidanceSchedule(1, 1, 1, 1, lambda_local=-0.5)
+        for name in ("lambda_global_start", "lambda_global_end", "lambda_local"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0, got nan"):
+                GuidanceSchedule(1, 1, 1, 1, **{name: float("nan")})
 
 
 def two_atom_system():

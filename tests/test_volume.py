@@ -247,6 +247,13 @@ class TestCropPad:
         with pytest.raises(ValueError, match="no voxel"):
             crop_pad(m, level=1.0, pad=0)
 
+    def test_negative_pad_rejected(self):
+        data = np.zeros((10, 10, 10))
+        data[3:7, 3:7, 3:7] = 2.0
+        m = DensityMap(data=data, voxel_size=1.0)
+        with pytest.raises(ValueError, match="pad must be >= 0, got -1"):
+            crop_pad(m, level=1.0, pad=-1)
+
 
 class TestMaskNearModel:
     def test_keeps_only_near_density(self):
