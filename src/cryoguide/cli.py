@@ -71,19 +71,12 @@ def cmd_pointcloud(args) -> int:
     return 0
 
 
-def cmd_guide(args) -> int:
+def cmd_run(args) -> int:
+    """`guide` and `sample`: `args.run` is run_guided or run_unguided."""
     cfg = load_config(args.config, args.set or ())
-    records = run_guided(cfg)
+    records = args.run(cfg)
     n_ok = sum(1 for r in records if r.status == "ok")
-    log.info("guided run complete: %d/%d samples ok", n_ok, len(records))
-    return 0
-
-
-def cmd_sample(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    records = run_unguided(cfg)
-    n_ok = sum(1 for r in records if r.status == "ok")
-    log.info("unguided run complete: %d/%d samples ok", n_ok, len(records))
+    log.info("%s run complete: %d/%d samples ok", args.kind, n_ok, len(records))
     return 0
 
 
@@ -192,17 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_pointcloud)
 
-    p = sub.add_parser("guide", help="run density-guided sampling replicates")
-    p.add_argument("--config", required=True, help="key=value config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override a config entry")
-    p.set_defaults(func=cmd_guide)
-
-    p = sub.add_parser("sample", help="run unguided baseline sampling")
-    p.add_argument("--config", required=True, help="key=value config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override a config entry")
-    p.set_defaults(func=cmd_sample)
+    for name, run, kind, text in (
+            ("guide", run_guided, "guided", "run density-guided sampling replicates"),
+            ("sample", run_unguided, "unguided", "run unguided baseline sampling")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="key=value config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config entry")
+        p.set_defaults(func=cmd_run, run=run, kind=kind)
 
     p = sub.add_parser("score", help="evaluate a sample against a reference")
     p.add_argument("sample")

@@ -31,10 +31,8 @@ class RunConfig:
     sigma_max: float = 160.0
     rho: float = 7.0
     n_steps: int = 200
-    step_scale: float = 1.0
     churn: float = 0.0
     churn_floor: float = 0.05
-    noise_scale: float = 1.0
 
     # guidance stages: preset kind, or "custom" using the t_* fields
     schedule_kind: str = "synthetic"
@@ -67,15 +65,13 @@ class RunConfig:
     def noise_schedule(self) -> NoiseSchedule:
         return NoiseSchedule(sigma_min=self.sigma_min, sigma_max=self.sigma_max,
                              rho=self.rho, n_steps=self.n_steps,
-                             step_scale=self.step_scale, churn=self.churn,
-                             churn_floor=self.churn_floor,
-                             noise_scale=self.noise_scale)
+                             churn=self.churn, churn_floor=self.churn_floor)
 
     def guidance_schedule(self) -> GuidanceSchedule:
         if self.schedule_kind == "custom":
             stages = (self.t_warm, self.t_global, self.t_local, self.t_relax)
         else:
-            base = make_schedule(self.schedule_kind, self.n_steps)
+            base = make_schedule(self.schedule_kind)
             stages = (base.t_warm, base.t_global, base.t_local, base.t_relax)
         gs = GuidanceSchedule(*stages,
                               lambda_global_start=self.lambda_global_start,
@@ -98,6 +94,7 @@ class ConfigError(ValueError):
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_STAGE_KEYS = ("t_warm", "t_global", "t_local", "t_relax")
 
 
 def _coerce(key: str, text: str):
@@ -127,8 +124,10 @@ def apply_setting(cfg: RunConfig, key: str, value: str) -> None:
 
 
 def load_config(path: str | None = None, overrides=()) -> RunConfig:
-    """Parse `key = value` lines (# comments allowed), then apply overrides."""
-    cfg = RunConfig()
+    """Parse `key = value` lines (# comments allowed), then apply overrides.
+    The t_* keys are read only under schedule_kind = custom; under a preset
+    they are an error, not a value silently dropped."""
+    pairs = []
     if path is not None:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -138,12 +137,17 @@ def load_config(path: str | None = None, overrides=()) -> RunConfig:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, "
                                       f"got {raw.rstrip()!r}")
-                key, value = line.split("=", 1)
-                apply_setting(cfg, key.strip(), value)
+                pairs.append(line.split("=", 1))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
-        key, value = item.split("=", 1)
+        pairs.append(item.split("=", 1))
+    cfg = RunConfig()
+    for key, value in pairs:
         apply_setting(cfg, key.strip(), value)
+    given = {key.strip() for key, _ in pairs}
+    stage_keys = [key for key in _STAGE_KEYS if key in given]
+    if stage_keys and cfg.schedule_kind != "custom":
+        raise ConfigError(f"{', '.join(stage_keys)} only apply to schedule_kind = "
+                          f"custom, not {cfg.schedule_kind!r}")
     return cfg
-

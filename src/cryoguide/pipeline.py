@@ -22,7 +22,7 @@ from .metrics import evaluate, rscc
 from .pointcloud import cluster_count, extract_pointcloud
 from .priors import chain_template, single_mode_chain_prior, two_mode_chain_prior
 from .forward import BlurOperator
-from .sampler import GuidanceContext, sample_guided, sample_unguided
+from .sampler import GuidanceContext, SampleStats, sample_guided, sample_unguided
 from .structure import read_pdb, write_pdb
 from .volume import DensityMap, read_mrc
 
@@ -95,7 +95,7 @@ def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int
     reference = None
     if cfg.register:
         ref_seed = _sample_seed(cfg.seed, rep, cfg.n_samples)
-        ref_coords = sample_unguided(prior, None, cfg.noise_schedule(), ref_seed)
+        ref_coords = sample_unguided(prior, cfg.noise_schedule(), ref_seed)
         ref_model = chain_template(ref_coords)
         transform, score = dock_to_map(ref_model, dmap, cfg.resolution,
                                        n_rotations=cfg.dock_rotations,
@@ -110,14 +110,15 @@ def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int
 
 
 def _run_one(task):
-    """One sample, guided unless the task has no guidance context; any failure
-    is returned, not raised, so that it fails this sample alone and the serial
-    and the pooled map record it the same way."""
+    """One sample and its `SampleStats`, guided unless the task has no guidance
+    context (then the stats are None); any failure is returned, not raised, so
+    that it fails this sample alone and the serial and the pooled map record it
+    the same way."""
     prior, template, ctx, schedule, gsched, seed = task
     try:
         if ctx is None:
-            return template.with_coords(sample_unguided(prior, None, schedule, seed))
-        return sample_guided(prior, None, ctx, schedule, gsched, template, seed)
+            return template.with_coords(sample_unguided(prior, schedule, seed)), None
+        return sample_guided(prior, ctx, schedule, gsched, template, seed)
     except Exception as exc:
         # the traceback does not survive the trip back from a worker process
         log.debug("sample failed", exc_info=True)
@@ -135,7 +136,7 @@ def _submit(pool: ProcessPoolExecutor, task) -> Future:
 
 
 def _map_samples(tasks, workers: int):
-    """Each task's sample or failure, in task order, from `workers` processes.
+    """Each task's result or failure, in task order, from `workers` processes.
 
     One pool serves one replicate.  If a worker process dies, every task the
     pool has not finished yields a RuntimeError in place of its result, and
@@ -188,13 +189,15 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
                 records.append(SampleRecord(rep, j, seed_key, "", str(out),
                                             None, None))
                 continue
+            model, stats = out
             path = os.path.join(rep_dir, f"sample{j}.pdb")
-            write_pdb(out, path)
-            cc = rscc(out, dmap, cfg.resolution) if dmap is not None else None
-            rmsd = evaluate(out, reference).rmsd_all if reference else None
+            write_pdb(model, path)
+            cc = rscc(model, dmap, cfg.resolution) if dmap is not None else None
+            rmsd = evaluate(model, reference).rmsd_all if reference else None
             records.append(SampleRecord(rep, j, seed_key, path, "ok", cc,
                                         rmsd))
-            log.info("rep %d sample %d: rscc %s", rep, j, _fmt(cc) or "-")
+            log.info("rep %d sample %d: rscc %s%s", rep, j, _fmt(cc) or "-",
+                     _fmt_stats(stats))
 
     _write_manifest(cfg, records)
     _write_summary(cfg, records)
@@ -215,6 +218,15 @@ def run_unguided(cfg: RunConfig) -> list[SampleRecord]:
 
 def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.6f}"
+
+
+def _fmt_stats(stats: SampleStats | None) -> str:
+    if stats is None:
+        return ""
+    return (f", guidance evals {stats.global_evals} global + {stats.local_evals}"
+            f" local, cross-term solves {stats.ot_cross_solves}"
+            f" ({stats.ot_cross_iterations} iterations,"
+            f" {stats.ot_cross_unconverged} unconverged)")
 
 
 def _write_manifest(cfg: RunConfig, records: list[SampleRecord]) -> None:

@@ -35,17 +35,14 @@ class NoiseSchedule:
     sigma_i interpolates sigma_max..sigma_min in sigma^(1/rho) space over
     n_steps levels, with a terminal 0 appended.  `churn` re-noises the state
     before each score evaluation (sigma_hat = sigma*(1+churn) while
-    sigma > churn_floor); `step_scale` multiplies the denoising step and acts
-    as a sampling temperature.
+    sigma > churn_floor).
     """
     sigma_min: float = 0.004
     sigma_max: float = 160.0
     rho: float = 7.0
     n_steps: int = 200
-    step_scale: float = 1.0
     churn: float = 0.0
     churn_floor: float = 0.05
-    noise_scale: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.sigma_min < self.sigma_max):
@@ -68,12 +65,12 @@ class NoiseSchedule:
 
 
 class ScoreModel(abc.ABC):
-    """Noised-score interface: grad_x log p_sigma(x | condition)."""
+    """Noised-score interface: grad_x log p_sigma(x)."""
 
     n_atoms: int
 
     @abc.abstractmethod
-    def score(self, x: np.ndarray, condition, sigma: float) -> np.ndarray:
+    def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Score of the sigma-noised distribution at flat coordinates x."""
 
 
@@ -110,7 +107,7 @@ class GaussianMixturePrior(ScoreModel):
         self.weights = w / w.sum()
         self.n_atoms = dim // 3
 
-    def score(self, x: np.ndarray, condition, sigma: float) -> np.ndarray:
+    def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
         dim = x.size
         s2 = self.taus ** 2 + sigma ** 2
@@ -156,16 +153,12 @@ _SCHEDULE_STAGES = {
 }
 
 
-def make_schedule(kind: str, n_steps: int = 200) -> GuidanceSchedule:
-    """Stage preset by map provenance; errors if the stages don't sum to n_steps."""
+def make_schedule(kind: str) -> GuidanceSchedule:
+    """Stage preset by map provenance (both presets span 200 steps)."""
     if kind not in _SCHEDULE_STAGES:
         raise ValueError(f"unknown schedule kind {kind!r}; "
                          f"choose from {sorted(_SCHEDULE_STAGES)}")
-    stages = _SCHEDULE_STAGES[kind]
-    if sum(stages) != n_steps:
-        raise ValueError(f"schedule {kind!r} stages sum to {sum(stages)}, "
-                         f"not n_steps = {n_steps}")
-    return GuidanceSchedule(*stages)
+    return GuidanceSchedule(*_SCHEDULE_STAGES[kind])
 
 
 def lambda_global(t: float, gsched: GuidanceSchedule) -> float:
@@ -209,10 +202,9 @@ class SampleStats:
         self.ot_cross_unconverged += not plan.converged
 
 
-def tweedie_estimate(x: np.ndarray, sigma: float, model: ScoreModel,
-                     condition=None) -> np.ndarray:
+def tweedie_estimate(x: np.ndarray, sigma: float, model: ScoreModel) -> np.ndarray:
     """Denoised posterior-mean estimate x + sigma^2 * score(x, sigma)."""
-    s = model.score(x, condition, sigma)
+    s = model.score(x, sigma)
     if not np.all(np.isfinite(s)):
         raise SamplingError(f"non-finite score at sigma={sigma:.6g}")
     return x + sigma ** 2 * s
@@ -232,8 +224,8 @@ def gradient_normalize(grad: np.ndarray, reference_step: float) -> np.ndarray:
     return g * (reference_step / rms)
 
 
-def _integrate(model: ScoreModel, condition, schedule: NoiseSchedule, seed,
-               guide=None, stats: SampleStats | None = None) -> np.ndarray:
+def _integrate(model: ScoreModel, schedule: NoiseSchedule, seed, guide=None,
+               stats: SampleStats | None = None) -> np.ndarray:
     """Reverse-process integration; one score evaluation per step.
 
     `guide(i, xhat, tweedie_disp, sigma_hat, sigma_next)` may return a
@@ -248,12 +240,11 @@ def _integrate(model: ScoreModel, condition, schedule: NoiseSchedule, seed,
         gamma = schedule.churn if s > schedule.churn_floor else 0.0
         s_hat = s * (1.0 + gamma)
         if gamma > 0:
-            x = x + schedule.noise_scale * np.sqrt(s_hat ** 2 - s ** 2) \
-                * rng.standard_normal(n_dim)
-        x_hat = tweedie_estimate(x, s_hat, model, condition)
+            x = x + np.sqrt(s_hat ** 2 - s ** 2) * rng.standard_normal(n_dim)
+        x_hat = tweedie_estimate(x, s_hat, model)
         if stats is not None:
             stats.score_evals += 1
-        x_next = x + schedule.step_scale * (s_next - s_hat) / s_hat * (x - x_hat)
+        x_next = x + (s_next - s_hat) / s_hat * (x - x_hat)
         if guide is not None:
             delta = guide(i, x_hat, x - x_hat, s_hat, s_next)
             if delta is not None:
@@ -265,12 +256,10 @@ def _integrate(model: ScoreModel, condition, schedule: NoiseSchedule, seed,
     return x
 
 
-def sample_unguided(model: ScoreModel, condition=None,
-                    schedule: NoiseSchedule = NoiseSchedule(),
+def sample_unguided(model: ScoreModel, schedule: NoiseSchedule = NoiseSchedule(),
                     seed=0) -> np.ndarray:
     """Draw one unguided sample; returns (n_atoms, 3) coordinates."""
-    x = _integrate(model, condition, schedule, seed)
-    return x.reshape(-1, 3)
+    return _integrate(model, schedule, seed).reshape(-1, 3)
 
 
 def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
@@ -315,46 +304,33 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
     return guide
 
 
-def guided_trajectory(model: ScoreModel, condition, ctx: GuidanceContext,
-                      schedule: NoiseSchedule, gsched: GuidanceSchedule,
-                      seed, amps: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, SampleStats]:
-    """Run one guided trajectory; returns map-frame coordinates and stats."""
-    if gsched.n_steps != schedule.n_steps:
-        raise ValueError(f"guidance stages sum to {gsched.n_steps}, "
-                         f"schedule has {schedule.n_steps} steps")
-    if amps is None:
-        amps = np.full(model.n_atoms, 6.0)
-    stats = SampleStats()
-    guide = _make_multiscale_guide(ctx, gsched, np.asarray(amps, float), stats)
-    x = _integrate(model, condition, schedule, seed, guide=guide, stats=stats)
-    coords = x.reshape(-1, 3)
-    if stats.frame is not None:
-        coords = stats.frame.apply(coords)
-    return coords, stats
-
-
-def sample_guided(model: ScoreModel, condition, ctx: GuidanceContext,
+def sample_guided(model: ScoreModel, ctx: GuidanceContext,
                   schedule: NoiseSchedule, gsched: GuidanceSchedule,
-                  template: AtomicModel, seed=0) -> AtomicModel:
-    """Draw one density-guided sample and write it onto the template's atoms."""
+                  template: AtomicModel, seed=0
+                  ) -> tuple[AtomicModel, SampleStats]:
+    """Draw one density-guided sample onto the template's atoms, whose atomic
+    numbers are the splat amplitudes; returns the map-frame model and stats."""
     if len(template) != model.n_atoms:
         raise ValueError(f"template has {len(template)} atoms, "
                          f"model expects {model.n_atoms}")
-    amps = template.atomic_numbers().astype(np.float64)
-    coords, _ = guided_trajectory(model, condition, ctx, schedule, gsched,
-                                  seed, amps=amps)
-    return template.with_coords(coords)
+    if gsched.n_steps != schedule.n_steps:
+        raise ValueError(f"guidance stages sum to {gsched.n_steps}, "
+                         f"schedule has {schedule.n_steps} steps")
+    stats = SampleStats()
+    guide = _make_multiscale_guide(ctx, gsched, template.atomic_numbers(), stats)
+    coords = _integrate(model, schedule, seed, guide=guide, stats=stats).reshape(-1, 3)
+    if stats.frame is not None:
+        coords = stats.frame.apply(coords)
+    return template.with_coords(coords), stats
 
 
 def gaussian_posterior_guidance(prior: GaussianMixturePrior,
-                                observation: np.ndarray, obs_std: float,
-                                schedule: NoiseSchedule):
+                                observation: np.ndarray, obs_std: float):
     """Exact likelihood-score guidance for a single-mode Gaussian prior.
 
     For an observation y = x0 + N(0, obs_std^2 I) of the clean coordinates,
     the likelihood score at noise level sigma is available in closed form,
-    and adding step_scale*(sigma_hat - sigma_next)*sigma_hat times it to each
+    and adding (sigma_hat - sigma_next)*sigma_hat times it to each
     update turns the unguided reverse process into the exact posterior one.
     Used to validate the guidance injection point against analytic oracles.
     """
@@ -368,12 +344,12 @@ def gaussian_posterior_guidance(prior: GaussianMixturePrior,
         c = tau ** 2 / (tau ** 2 + s_hat ** 2)
         v = tau ** 2 * s_hat ** 2 / (tau ** 2 + s_hat ** 2)
         g = c * (y - x_hat) / (v + s_obs2)
-        return schedule.step_scale * (s_hat - s_next) * s_hat * g
+        return (s_hat - s_next) * s_hat * g
 
     return guide
 
 
-def sample_with_guide(model: ScoreModel, condition, schedule: NoiseSchedule,
-                      seed, guide) -> np.ndarray:
+def sample_with_guide(model: ScoreModel, schedule: NoiseSchedule, seed,
+                      guide) -> np.ndarray:
     """Draw one sample under an arbitrary guidance hook; (n_atoms, 3) output."""
-    return _integrate(model, condition, schedule, seed, guide=guide).reshape(-1, 3)
+    return _integrate(model, schedule, seed, guide=guide).reshape(-1, 3)

@@ -26,8 +26,8 @@ from cryoguide.pointcloud import (PointCloud, cluster_count,
 from cryoguide.priors import chain_template, two_mode_chain_prior
 from cryoguide.sampler import (GaussianMixturePrior, GuidanceContext,
                                GuidanceSchedule, NoiseSchedule,
-                               gaussian_posterior_guidance, guided_trajectory,
-                               lambda_global, make_schedule, sample_unguided,
+                               gaussian_posterior_guidance, lambda_global,
+                               make_schedule, sample_guided, sample_unguided,
                                sample_with_guide)
 from cryoguide.structure import Atom, AtomicModel, read_pdb, write_pdb
 from cryoguide.transport import (SinkhornConfig, divergence_grad, ot_epsilon,
@@ -106,7 +106,7 @@ def test_criterion_01_minority_mode_recovery(demo, tmp_path, monkeypatch):
     guided = minority_hits([read_pdb(r.path).coords() for r in records])
     sched = cfg.noise_schedule()
     seeds = np.random.SeedSequence(20260825).spawn(50)
-    unguided = minority_hits([sample_unguided(prior, None, sched, s)
+    unguided = minority_hits([sample_unguided(prior, sched, s)
                               for s in seeds])
     elapsed = time.perf_counter() - t0
 
@@ -132,8 +132,8 @@ def test_criterion_02_gaussian_posterior_oracle():
     post_var = 1.0 / (1 / obs_std**2 + 1 / tau**2)
 
     sched = NoiseSchedule(sigma_min=0.01, sigma_max=40.0, n_steps=100)
-    guide = gaussian_posterior_guidance(prior, y, obs_std, sched)
-    draws = np.array([sample_with_guide(prior, None, sched, s, guide).ravel()
+    guide = gaussian_posterior_guidance(prior, y, obs_std)
+    draws = np.array([sample_with_guide(prior, sched, s, guide).ravel()
                       for s in np.random.SeedSequence(4242).spawn(500)])
     se = np.sqrt(post_var / len(draws))
     dev = np.abs(draws.mean(axis=0) - post_mean) / se
@@ -393,8 +393,9 @@ def test_criterion_10_zero_guidance_equivalence(demo):
                               lambda_global_end=0.0, lambda_local=0.0)
     sched = NoiseSchedule(sigma_min=0.064, sigma_max=2560.0, n_steps=40,
                           churn=0.4)
-    guided, _ = guided_trajectory(prior, None, ctx, sched, gsched, seed=77)
-    unguided = sample_unguided(prior, None, sched, seed=77)
+    template = chain_template(prior.mode_coords(0))
+    guided, _ = sample_guided(prior, ctx, sched, gsched, template, seed=77)
+    unguided = sample_unguided(prior, sched, seed=77)
     with criterion(10, "zero-strength guidance is bit-identical to unguided "
                        "sampling"):
-        assert guided.tobytes() == unguided.tobytes()
+        assert guided.coords().tobytes() == unguided.tobytes()

@@ -1,14 +1,18 @@
 """Command-line interface tests (exercised through main(argv))."""
 
+import logging
 import multiprocessing
 import os
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cryoguide import pipeline
 from cryoguide.cli import main
+from cryoguide.config import ConfigError, load_config
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.priors import chain_template, hinged_chain_modes
 from cryoguide.sampler import SamplingError
@@ -301,10 +305,10 @@ class TestGuide:
     def test_unexpected_error_fails_one_sample(self, workdir, tmp_path, monkeypatch):
         real = pipeline.sample_guided
 
-        def fail_rep0_sample1(prior, x0, ctx, schedule, gsched, template, seed):
+        def fail_rep0_sample1(prior, ctx, schedule, gsched, template, seed):
             if seed.spawn_key == (0, 1):
                 raise RuntimeError("stub failure")
-            return real(prior, x0, ctx, schedule, gsched, template, seed)
+            return real(prior, ctx, schedule, gsched, template, seed)
 
         monkeypatch.setattr(pipeline, "sample_guided", fail_rep0_sample1)
         cfg = base_config(workdir, tmp_path)
@@ -325,10 +329,10 @@ class TestGuide:
     def test_crashed_worker_recorded_as_failed(self, workdir, tmp_path, monkeypatch):
         real = pipeline.sample_guided
 
-        def crash_on_rep1(prior, x0, ctx, schedule, gsched, template, seed):
+        def crash_on_rep1(prior, ctx, schedule, gsched, template, seed):
             if seed.spawn_key == (1, 0):
                 os._exit(1)
-            return real(prior, x0, ctx, schedule, gsched, template, seed)
+            return real(prior, ctx, schedule, gsched, template, seed)
 
         monkeypatch.setattr(pipeline, "sample_guided", crash_on_rep1)
         monkeypatch.setenv("CRYOGUIDE_WORKERS", "2")
@@ -356,7 +360,7 @@ class TestGuide:
                 super().__init__(*args, **kwargs)
                 pools.append(self)
 
-        def crash_or_echo(prior, x0, ctx, schedule, gsched, template, seed):
+        def crash_or_echo(prior, ctx, schedule, gsched, template, seed):
             if seed == "crash":
                 os._exit(1)
             return seed
@@ -388,7 +392,7 @@ class TestGuide:
 
     def test_unknown_config_key(self, workdir, tmp_path, capsys):
         cfg = base_config(workdir, tmp_path)
-        for key in ("warp_speed", "dock_per_sample"):
+        for key in ("warp_speed", "dock_per_sample", "step_scale", "noise_scale"):
             assert main(["guide", "--config", str(cfg),
                          "--set", f"{key}=true"]) == 1
             assert f"unknown config key '{key}'" in capsys.readouterr().err
@@ -413,6 +417,40 @@ class TestGuide:
         assert main(["guide", "--config", str(cfg),
                      "--set", "t_warm=99"]) == 1
         assert "stages sum" in capsys.readouterr().err
+        # the synthetic preset spans 200 steps, not the base config's 40
+        preset = tmp_path / "preset.cfg"
+        preset.write_text("".join(line for line in cfg.read_text().splitlines(True)
+                                  if not line.startswith("t_")))
+        assert main(["guide", "--config", str(preset),
+                     "--set", "schedule_kind=synthetic"]) == 1
+        assert "guidance stages sum to 200, n_steps = 40" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.tsv").exists()
+
+    def test_stage_key_needs_custom_schedule(self, workdir, tmp_path, capsys):
+        cfg = base_config(workdir, tmp_path)
+        for kind in ("synthetic", "experimental"):
+            assert main(["guide", "--config", str(cfg),
+                         "--set", f"schedule_kind={kind}"]) == 1
+            assert ("t_warm, t_global, t_local, t_relax only apply to "
+                    f"schedule_kind = custom, not '{kind}'") in capsys.readouterr().err
+        # a stage key set on the command line under the default preset
+        with pytest.raises(ConfigError, match="t_global only apply"):
+            load_config(None, ["t_global=75"])
+        assert not (tmp_path / "out" / "manifest.tsv").exists()
+
+    def test_log_reports_sample_stats(self, workdir, tmp_path, caplog):
+        cfg = base_config(workdir, tmp_path, extra="n_replicates = 1\n")
+        with caplog.at_level(logging.INFO, logger="cryoguide.pipeline"):
+            assert main(["guide", "--config", str(cfg)]) == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("rep 0 sample ")]
+        assert len(lines) == 2
+        pattern = (r"rep 0 sample \d: rscc 0\.\d{6}, guidance evals 5 global \+ 5 local, "
+                   r"cross-term solves 5 \((\d+) iterations, 0 unconverged\)")
+        for line in lines:
+            match = re.fullmatch(pattern, line)
+            assert match, line
+            assert int(match.group(1)) >= 5
 
 
 class TestSampleCommand:
@@ -463,10 +501,10 @@ class TestSampleCommand:
     def test_failed_draw_fails_one_sample(self, workdir, tmp_path, monkeypatch):
         real = pipeline.sample_unguided
 
-        def fail_rep0_sample1(prior, condition, schedule, seed):
+        def fail_rep0_sample1(prior, schedule, seed):
             if seed.spawn_key == (0, 1):
                 raise SamplingError("stub failure")
-            return real(prior, condition, schedule, seed)
+            return real(prior, schedule, seed)
 
         monkeypatch.setattr(pipeline, "sample_unguided", fail_rep0_sample1)
         cfg = base_config(workdir, tmp_path)
@@ -497,3 +535,18 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip()
+
+
+def test_readme_demo_config_parses(tmp_path):
+    """The README's demo.cfg block loads and builds both schedules."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Then create `demo\.cfg`:\n\n```text\n(.*?)```", readme, re.S)
+    assert block, "README has no demo.cfg block"
+    cfg_path = tmp_path / "demo.cfg"
+    cfg_path.write_text(block.group(1))
+    cfg = load_config(str(cfg_path))
+    assert (cfg.schedule_kind, cfg.n_steps, cfg.n_samples) == ("synthetic", 200, 50)
+    assert cfg.noise_schedule().sigmas().size == 201
+    gsched = cfg.guidance_schedule()
+    assert (gsched.t_warm, gsched.t_global, gsched.t_local, gsched.t_relax) == \
+        (125, 25, 25, 25)

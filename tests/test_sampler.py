@@ -12,9 +12,9 @@ from cryoguide.sampler import (GaussianMixturePrior, GuidanceContext,
                                GuidanceSchedule, NoiseSchedule, SampleStats,
                                SamplingError, ScoreModel,
                                gaussian_posterior_guidance, gradient_normalize,
-                               guided_trajectory, lambda_global, make_schedule,
-                               sample_guided, sample_unguided,
-                               sample_with_guide, tweedie_estimate)
+                               lambda_global, make_schedule, sample_guided,
+                               sample_unguided, sample_with_guide,
+                               tweedie_estimate)
 from cryoguide.transport import SinkhornConfig
 
 
@@ -24,15 +24,15 @@ class CountingModel(ScoreModel):
         self.n_atoms = inner.n_atoms
         self.calls = 0
 
-    def score(self, x, condition, sigma):
+    def score(self, x, sigma):
         self.calls += 1
-        return self.inner.score(x, condition, sigma)
+        return self.inner.score(x, sigma)
 
 
 class NanModel(ScoreModel):
     n_atoms = 1
 
-    def score(self, x, condition, sigma):
+    def score(self, x, sigma):
         return np.full(3, np.nan)
 
 
@@ -82,7 +82,7 @@ class TestGaussianMixturePrior:
         x = np.array([0.3, 0.4, -1.0])
         sigma = 2.0
         want = (mu - x) / (0.7 ** 2 + sigma ** 2)
-        np.testing.assert_allclose(prior.score(x, None, sigma), want, rtol=1e-12)
+        np.testing.assert_allclose(prior.score(x, sigma), want, rtol=1e-12)
 
     def test_two_mode_score_matches_softmax_formula(self):
         m0 = np.zeros(6)
@@ -97,7 +97,7 @@ class TestGaussianMixturePrior:
         r = np.exp(logp - logp.max())
         r /= r.sum()
         want = r[0] * (m0 - x) / s2[0] + r[1] * (m1 - x) / s2[1]
-        np.testing.assert_allclose(prior.score(x, None, sigma), want, rtol=1e-10)
+        np.testing.assert_allclose(prior.score(x, sigma), want, rtol=1e-10)
 
     def test_weights_normalized_and_mode_coords(self):
         prior = GaussianMixturePrior([(np.zeros(6), 1.0, 19.0),
@@ -175,8 +175,6 @@ class TestGuidanceSchedule:
     def test_preset_errors(self):
         with pytest.raises(ValueError, match="unknown schedule"):
             make_schedule("movie")
-        with pytest.raises(ValueError, match="sum to"):
-            make_schedule("synthetic", n_steps=100)
 
     def test_lambda_anneal_endpoints(self):
         g = GuidanceSchedule(0, 25, 0, 0)
@@ -259,12 +257,12 @@ class TestIntegration:
 
         def probe(i, x_hat, tweedie_disp, s_hat, s_next):
             x = x_hat + tweedie_disp
-            want = x + s_hat ** 2 * prior.score(x, None, s_hat)
+            want = x + s_hat ** 2 * prior.score(x, s_hat)
             np.testing.assert_allclose(x_hat, want, rtol=1e-10, atol=1e-12)
             seen.append((i, s_hat, s_next))
             return None
 
-        sample_with_guide(prior, None, churny, 0, probe)
+        sample_with_guide(prior, churny, 0, probe)
         assert [i for i, _, _ in seen] == list(range(40))
         for i, s_hat, s_next in seen:
             gamma = 0.3 if sigmas[i] > 0.05 else 0.0
@@ -274,14 +272,14 @@ class TestIntegration:
     def test_none_guide_is_bit_exact_noop(self):
         prior, _, _ = two_atom_system()
         plain = sample_unguided(prior, schedule=SMALL_SCHED, seed=9)
-        hooked = sample_with_guide(prior, None, SMALL_SCHED, 9,
+        hooked = sample_with_guide(prior, SMALL_SCHED, 9,
                                    lambda *a: None)
         np.testing.assert_array_equal(plain, hooked)
 
     def test_constant_guide_displaces(self):
         prior, _, _ = two_atom_system()
         plain = sample_unguided(prior, schedule=SMALL_SCHED, seed=9)
-        shifted = sample_with_guide(prior, None, SMALL_SCHED, 9,
+        shifted = sample_with_guide(prior, SMALL_SCHED, 9,
                                     lambda *a: np.full(6, 0.01))
         assert not np.array_equal(plain, shifted)
         assert np.all(np.isfinite(shifted))
@@ -289,54 +287,54 @@ class TestIntegration:
     def test_nonfinite_guide_aborts(self):
         prior, _, _ = two_atom_system()
         with pytest.raises(SamplingError, match="non-finite coordinates"):
-            sample_with_guide(prior, None, SMALL_SCHED, 0,
+            sample_with_guide(prior, SMALL_SCHED, 0,
                               lambda *a: np.full(6, np.inf))
 
 
 class TestGuidedTrajectory:
     def test_stage_accounting(self):
-        prior, _, ctx = two_atom_system()
+        prior, template, ctx = two_atom_system()
         gsched = GuidanceSchedule(25, 5, 5, 5)
-        coords, stats = guided_trajectory(prior, None, ctx, SMALL_SCHED,
-                                          gsched, seed=0)
-        assert coords.shape == (2, 3)
+        model, stats = sample_guided(prior, ctx, SMALL_SCHED, gsched, template,
+                                     seed=0)
+        assert model.coords().shape == (2, 3)
         assert stats.score_evals == 40
         assert stats.global_evals == 5
         assert stats.local_evals == 5
         assert stats.frame is None  # no reference registered
 
     def test_stage_mismatch_rejected(self):
-        prior, _, ctx = two_atom_system()
+        prior, template, ctx = two_atom_system()
         with pytest.raises(ValueError, match="stages sum"):
-            guided_trajectory(prior, None, ctx, SMALL_SCHED,
-                              GuidanceSchedule(1, 1, 1, 1), seed=0)
+            sample_guided(prior, ctx, SMALL_SCHED, GuidanceSchedule(1, 1, 1, 1),
+                          template, seed=0)
 
     def test_zero_lambda_equals_unguided_bitwise(self):
-        prior, _, ctx = two_atom_system()
+        prior, template, ctx = two_atom_system()
         gsched = GuidanceSchedule(25, 5, 5, 5, lambda_global_start=0.0,
                                   lambda_global_end=0.0, lambda_local=0.0)
-        guided, stats = guided_trajectory(prior, None, ctx, SMALL_SCHED,
-                                          gsched, seed=4)
+        guided, stats = sample_guided(prior, ctx, SMALL_SCHED, gsched, template,
+                                      seed=4)
         plain = sample_unguided(prior, schedule=SMALL_SCHED, seed=4)
-        np.testing.assert_array_equal(guided, plain)
+        np.testing.assert_array_equal(guided.coords(), plain)
         assert stats.global_evals == 0 and stats.local_evals == 0
 
     def test_guidance_pulls_toward_map(self):
-        prior, _, ctx = two_atom_system()
+        prior, template, ctx = two_atom_system()
         gsched = GuidanceSchedule(25, 5, 5, 5)
         mu = prior.mode_coords(0)
         dists = {"guided": [], "plain": []}
         for seed in range(5):
-            guided, _ = guided_trajectory(prior, None, ctx, SMALL_SCHED,
-                                          gsched, seed=seed)
+            guided, _ = sample_guided(prior, ctx, SMALL_SCHED, gsched, template,
+                                      seed=seed)
             plain = sample_unguided(prior, schedule=SMALL_SCHED, seed=seed)
-            dists["guided"].append(np.sqrt(np.mean((guided - mu) ** 2)))
+            dists["guided"].append(np.sqrt(np.mean((guided.coords() - mu) ** 2)))
             dists["plain"].append(np.sqrt(np.mean((plain - mu) ** 2)))
         assert np.mean(dists["guided"]) < np.mean(dists["plain"])
 
     def test_cross_term_solves_recorded(self):
         # the criterion-01 demo: minority-mode map, 7-point cloud, reach 40
-        prior, _ = two_mode_chain_prior()
+        prior, template = two_mode_chain_prior()
         minority = chain_template(prior.mode_coords(1))
         dmap = simulate_map(minority, grid_for_model(minority, 1.0, pad=4.0),
                             resolution=2.0)
@@ -346,8 +344,8 @@ class TestGuidedTrajectory:
                               sinkhorn=SinkhornConfig(epsilon=1.0, reach=40.0))
         sched = NoiseSchedule(sigma_min=0.064, sigma_max=2560.0, n_steps=200,
                               churn=0.4)
-        _, stats = guided_trajectory(prior, None, ctx, sched,
-                                     make_schedule("synthetic"), seed=0)
+        _, stats = sample_guided(prior, ctx, sched, make_schedule("synthetic"),
+                                 template, seed=0)
         assert stats.global_evals == 25
         assert stats.ot_cross_solves == stats.global_evals
         assert stats.ot_cross_unconverged == 0
@@ -357,8 +355,8 @@ class TestGuidedTrajectory:
     def test_sample_guided_writes_template(self):
         prior, template, ctx = two_atom_system()
         gsched = GuidanceSchedule(25, 5, 5, 5)
-        model = sample_guided(prior, None, ctx, SMALL_SCHED, gsched, template,
-                              seed=1)
+        model, _ = sample_guided(prior, ctx, SMALL_SCHED, gsched, template,
+                                 seed=1)
         assert len(model) == 2
         assert [a.atom_name for a in model.atoms] == \
             [a.atom_name for a in template.atoms]
@@ -368,8 +366,8 @@ class TestGuidedTrajectory:
         prior, template, ctx = two_atom_system()
         big = chain_template(np.zeros((5, 3)))
         with pytest.raises(ValueError, match="atoms"):
-            sample_guided(prior, None, ctx, SMALL_SCHED,
-                          GuidanceSchedule(25, 5, 5, 5), big, seed=0)
+            sample_guided(prior, ctx, SMALL_SCHED, GuidanceSchedule(25, 5, 5, 5),
+                          big, seed=0)
 
 
 class TestExactPosteriorGuidance:
@@ -377,8 +375,7 @@ class TestExactPosteriorGuidance:
         prior = GaussianMixturePrior([(np.zeros(3), 1.0, 0.5),
                                       (np.ones(3), 1.0, 0.5)])
         with pytest.raises(ValueError, match="single-mode"):
-            gaussian_posterior_guidance(prior, np.zeros(3), 0.5,
-                                        NoiseSchedule())
+            gaussian_posterior_guidance(prior, np.zeros(3), 0.5)
 
     def test_matches_analytic_posterior_moments(self):
         tau, s_obs = 1.0, 0.5
@@ -386,8 +383,8 @@ class TestExactPosteriorGuidance:
         y = np.array([1.2, -0.8, 0.4])
         prior = GaussianMixturePrior([(mu, tau, 1.0)])
         sched = NoiseSchedule(sigma_min=0.01, sigma_max=40.0, n_steps=100)
-        guide = gaussian_posterior_guidance(prior, y, s_obs, sched)
-        draws = np.array([sample_with_guide(prior, None, sched, s, guide).ravel()
+        guide = gaussian_posterior_guidance(prior, y, s_obs)
+        draws = np.array([sample_with_guide(prior, sched, s, guide).ravel()
                           for s in range(250)])
         post_mean = y * tau ** 2 / (tau ** 2 + s_obs ** 2)
         post_var = tau ** 2 * s_obs ** 2 / (tau ** 2 + s_obs ** 2)
