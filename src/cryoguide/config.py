@@ -68,19 +68,22 @@ class RunConfig:
                              churn=self.churn, churn_floor=self.churn_floor)
 
     def guidance_schedule(self) -> GuidanceSchedule:
-        if self.schedule_kind == "custom":
-            stages = (self.t_warm, self.t_global, self.t_local, self.t_relax)
-        else:
-            base = make_schedule(self.schedule_kind)
-            stages = (base.t_warm, base.t_global, base.t_local, base.t_relax)
-        gs = GuidanceSchedule(*stages,
-                              lambda_global_start=self.lambda_global_start,
-                              lambda_global_end=self.lambda_global_end,
-                              lambda_local=self.lambda_local)
-        if gs.n_steps != self.n_steps:
-            raise ConfigError(f"guidance stages sum to {gs.n_steps}, "
-                              f"n_steps = {self.n_steps}")
-        return gs
+        """Guidance stages and strengths.  An unknown schedule kind, a
+        negative stage, or a negative or NaN strength is a ConfigError.  That
+        the stages add up to n_steps is left to the guided run, the one that
+        uses them."""
+        try:
+            if self.schedule_kind == "custom":
+                stages = (self.t_warm, self.t_global, self.t_local, self.t_relax)
+            else:
+                base = make_schedule(self.schedule_kind)
+                stages = (base.t_warm, base.t_global, base.t_local, base.t_relax)
+            return GuidanceSchedule(*stages,
+                                    lambda_global_start=self.lambda_global_start,
+                                    lambda_global_end=self.lambda_global_end,
+                                    lambda_local=self.lambda_local)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def sinkhorn_config(self) -> SinkhornConfig:
         reach = self.reach if self.reach > 0 else None

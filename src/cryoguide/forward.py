@@ -119,13 +119,14 @@ def density_loss_grad_coords(coords: np.ndarray, amps: np.ndarray, target: Densi
 
     The blur is self-adjoint, so the chain rule reduces to correlating the
     residual with the blur kernel and differentiating the splats against it.
+    The residual is formed in place, in the simulated map's own array.
     """
     sigma = atom_sigma(resolution)
     sim = _kernels.splat(coords, amps, target.data.shape, target.origin,
                          target.voxel_size, sigma)
     if blur is not None:
         sim = blur.apply(sim, target.voxel_size)
-    resid = sim - target.data
+    resid = np.subtract(sim, target.data, out=sim)
     if blur is not None:
         resid = blur.apply(resid, target.voxel_size)
     return 2.0 * _kernels.splat_grad(coords, amps, resid, target.origin,

@@ -169,7 +169,11 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
     prior, template = _prior_and_template(cfg)
     reference = read_pdb(cfg.reference) if cfg.reference else None
     schedule = cfg.noise_schedule()
-    gsched = cfg.guidance_schedule() if guided else None
+    # both commands reject invalid guidance settings, though sample uses none
+    gsched = cfg.guidance_schedule()
+    if guided and gsched.n_steps != schedule.n_steps:
+        raise ConfigError(f"guidance stages sum to {gsched.n_steps}, "
+                          f"n_steps = {schedule.n_steps}")
 
     os.makedirs(cfg.outdir, exist_ok=True)
     records: list[SampleRecord] = []

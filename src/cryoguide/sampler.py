@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .alignment import RigidTransform, kabsch
 from .forward import BlurOperator, density_loss_grad_coords
@@ -64,6 +63,25 @@ class NoiseSchedule:
         return np.concatenate([u ** self.rho, [0.0]])
 
 
+def _logsumexp(a: np.ndarray) -> np.floating:
+    """`scipy.special.logsumexp(a)` of a 1-D float64 array, bit for bit.
+
+    SciPy 1.17's formula without its array-API dispatch, which on the
+    prior's few modes costs several times the arithmetic: the maximal
+    entries are counted in m and left out of the sum.  A non-finite result is recomputed as
+    log(sum(exp(a))), as SciPy does.  Call it with divide, overflow and
+    invalid-value warnings off, as SciPy runs it.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+    out = np.log1p(s / m) + np.log(m) + a_max
+    if not np.isfinite(out):
+        return np.log(np.sum(np.exp(a)))
+    return out
+
+
 class ScoreModel(abc.ABC):
     """Noised-score interface: grad_x log p_sigma(x)."""
 
@@ -105,6 +123,7 @@ class GaussianMixturePrior(ScoreModel):
         self.taus = np.asarray(taus)
         w = np.asarray(weights)
         self.weights = w / w.sum()
+        self._log_weights = np.log(self.weights)
         self.n_atoms = dim // 3
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -112,11 +131,11 @@ class GaussianMixturePrior(ScoreModel):
         dim = x.size
         s2 = self.taus ** 2 + sigma ** 2
         # a diverged x gives a non-finite score, which tweedie_estimate reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            logs = (np.log(self.weights)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            logs = (self._log_weights
                     - 0.5 * np.sum((x[None, :] - self.means) ** 2, axis=1) / s2
                     - 0.5 * dim * np.log(s2))
-            r = np.exp(logs - logsumexp(logs))
+            r = np.exp(logs - _logsumexp(logs))
             return ((r / s2)[:, None] * (self.means - x[None, :])).sum(axis=0)
 
     def mode_coords(self, m: int) -> np.ndarray:

@@ -151,8 +151,9 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
     pk = la + lb - C / eps   # log-plan = pk + f/eps + g/eps
 
     def point(f, g):
-        """Dual value (up to a constant), marginal residual, plan and
-        relaxed marginals at (f, g); overflow gives a non-finite value."""
+        """Dual value (up to a constant), the f and g halves of the marginal
+        residual and its largest magnitude, plan and relaxed marginals at
+        (f, g); overflow gives a non-finite value or residual."""
         with np.errstate(over="ignore", invalid="ignore"):
             gamma = np.exp(pk + (f[:, None] + g[None, :]) / eps)
             if balanced:
@@ -162,10 +163,13 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
                 ua = a * np.exp(-f / rho)
                 ub = b * np.exp(-g / rho)
                 value = -rho * (ua.sum() + ub.sum()) - eps * gamma.sum()
-            r = np.concatenate([ua - gamma.sum(axis=1), ub - gamma.sum(axis=0)])
-        return value, r, gamma, ua, ub
+            rf = ua - gamma.sum(axis=1)
+            rg = ub - gamma.sum(axis=0)
+        # np.maximum, not max: a NaN in either half must carry through
+        res = np.maximum(np.abs(rf).max(), np.abs(rg).max())
+        return value, rf, rg, res, gamma, ua, ub
 
-    def newton(f, g, value, r, gamma, ua, ub):
+    def newton(f, g, value, rf, rg, res, gamma, ua, ub):
         K = gamma / eps
         hf, hg = K.sum(axis=1), K.sum(axis=0)
         if not balanced:
@@ -173,25 +177,24 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
             hg = hg + ub / rho
         ridge = _RIDGE * max(hf.max(), hg.max())
         if n >= m:
-            d = _schur_direction(hf + ridge, hg + ridge, K, r[:n], r[n:])
+            d = _schur_direction(hf + ridge, hg + ridge, K, rf, rg)
         else:
-            d = _schur_direction(hg + ridge, hf + ridge, K.T, r[n:], r[:n])
+            d = _schur_direction(hg + ridge, hf + ridge, K.T, rg, rf)
             d = None if d is None else d[::-1]
         if d is None:
             return None
         df, dg = d
-        slope = r[:n] @ df + r[n:] @ dg
-        res = np.max(np.abs(r))
+        slope = rf @ df + rg @ dg
         move = max(np.abs(df).max(), np.abs(dg).max())
         t = 1.0 if move <= _MAX_MOVE * eps else _MAX_MOVE * eps / move
         for _ in range(_MAX_HALVINGS):
             ft, gt = f + t * df, g + t * dg
             trial = point(ft, gt)
+            value_t, res_t = trial[0], trial[3]
             # the residual test accepts steps whose rise in the dual is
             # below float resolution at tight tolerances
-            if np.isfinite(trial[0]) and np.all(np.isfinite(trial[1])) and (
-                    trial[0] >= value + _ARMIJO * t * slope
-                    or np.max(np.abs(trial[1])) < res):
+            if np.isfinite(value_t) and np.isfinite(res_t) and (
+                    value_t >= value + _ARMIJO * t * slope or res_t < res):
                 return ft, gt, trial
             t *= 0.5
         return None
@@ -209,10 +212,10 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
             state = point(f, g)
         else:
             f, g, state = step
-        if np.max(np.abs(state[1])) < cfg.tol:
+        if state[3] < cfg.tol:
             converged = True
             break
-    return f, g, state[2], converged, it
+    return f, g, state[4], converged, it
 
 
 def _solve_self(X, a, cfg: SinkhornConfig):

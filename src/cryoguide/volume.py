@@ -29,6 +29,9 @@ class DensityMap:
     """3D intensity grid with world placement.
 
     data: (w, h, d) array, x fastest; world of voxel (i,j,k) = origin + voxel_size*(i,j,k).
+    It is stored as a read-only, C-contiguous float64 array, whatever the
+    layout it was given in, so that arithmetic with the C-ordered grids of
+    the splat kernels runs in one memory order.
     """
 
     data: np.ndarray
@@ -37,7 +40,7 @@ class DensityMap:
     resolution: float | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data, dtype=np.float64, order="C")
         if data.ndim != 3 or min(data.shape) < 1:
             raise ValueError(f"map data must be 3D and nonempty, got shape {data.shape}")
         n_bad = data.size - np.count_nonzero(np.isfinite(data))
@@ -116,7 +119,7 @@ def read_mrc(path) -> DensityMap:
     # Permute (col, row, sec) onto crystal (x, y, z) axes.
     perm = np.array([mapc - 1, mapr - 1, maps - 1])
     inv = np.argsort(perm)
-    data = np.transpose(arr, inv).astype(np.float64)
+    data = np.transpose(arr, inv).astype(np.float64, order="C")
     nstart = np.array([ncstart, nrstart, nsstart], dtype=np.float64)[inv]
 
     origin = np.array([orix, oriy, oriz], dtype=np.float64)

@@ -51,6 +51,13 @@ def base_config(workdir, outdir, extra=""):
     return path
 
 
+BAD_GUIDANCE = [(["schedule_kind=bogus"], "unknown schedule kind 'bogus'"),
+                (["lambda_local=-1"], "lambda_local must be >= 0, got -1.0"),
+                (["lambda_global_start=-0.5"],
+                 "lambda_global_start must be >= 0, got -0.5"),
+                (["lambda_global_end=-2"], "lambda_global_end must be >= 0, got -2.0"),
+                (["schedule_kind=custom", "t_warm=-1"], "t_warm must be >= 0")]
+
 BAD_RUN_SHAPES = [("n_samples=0", "n_samples must be >= 1, got 0"),
                   ("n_replicates=0", "n_replicates must be >= 1, got 0"),
                   ("dock_rotations=-1", "dock_rotations must be >= 0, got -1")]
@@ -462,6 +469,21 @@ class TestSampleCommand:
         assert main(["sample", "--config", str(cfg), "--set", setting]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["guide", "sample"])
+    @pytest.mark.parametrize("settings,message", BAD_GUIDANCE,
+                             ids=[settings[-1] for settings, _ in BAD_GUIDANCE])
+    def test_bad_guidance_setting_rejected(self, workdir, tmp_path, capsys,
+                                           command, settings, message):
+        # guide needs the map; sample rejects the settings without one too
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text((f"map = {workdir / 'chain.mrc'}\n" if command == "guide" else "")
+                       + f"outdir = {tmp_path / 'out'}\n"
+                       "n_steps = 40\nn_samples = 2\nn_replicates = 1\n")
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        assert main([command, "--config", str(cfg), *overrides]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_runs_without_map(self, workdir, tmp_path):
         cfg = tmp_path / "u.cfg"

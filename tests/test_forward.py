@@ -334,6 +334,30 @@ class TestLossAndGradient:
                                       target, 2.0)
         np.testing.assert_allclose(g1, g2)
 
+    @pytest.mark.parametrize("blur", [None, BlurOperator(1.5)])
+    def test_grad_on_fortran_ordered_map_bitwise(self, blur):
+        """The in-place residual on the C-ordered map gives the bits of
+        2 * splat_grad(blur(blur(splat) - target)) taken against the target as
+        read_mrc used to return it, Fortran-ordered."""
+        model, target = self._system(25, n=8, blur=blur)
+        data_f = np.asfortranarray(target.data)
+        coords, amps = model.coords(), model.atomic_numbers().astype(float)
+        sigma = atom_sigma(2.0)
+        sim = _kernels.splat(coords, amps, data_f.shape, target.origin,
+                             target.voxel_size, sigma)
+        if blur is not None:
+            sim = blur.apply(sim, target.voxel_size)
+        resid = sim - data_f
+        if blur is not None:
+            resid = blur.apply(resid, target.voxel_size)
+        want = 2.0 * _kernels.splat_grad(coords, amps, resid, target.origin,
+                                         target.voxel_size, sigma)
+        fmap = DensityMap(data=data_f, voxel_size=target.voxel_size,
+                          origin=target.origin)
+        got = density_loss_grad_coords(coords, amps, fmap, 2.0, blur)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(fmap.data, data_f)  # target untouched
+
     def test_gradient_zero_at_exact_fit(self):
         model, _ = self._system(24)
         grid = grid_for_model(model, voxel_size=1.0, pad=4.0)

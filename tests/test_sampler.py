@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.pointcloud import extract_pointcloud
@@ -14,7 +15,7 @@ from cryoguide.sampler import (GaussianMixturePrior, GuidanceContext,
                                gaussian_posterior_guidance, gradient_normalize,
                                lambda_global, make_schedule, sample_guided,
                                sample_unguided, sample_with_guide,
-                               tweedie_estimate)
+                               tweedie_estimate, _logsumexp)
 from cryoguide.transport import SinkhornConfig
 
 
@@ -117,6 +118,84 @@ class TestGaussianMixturePrior:
             GaussianMixturePrior([(np.zeros(3), 1.0, 1.0), (np.zeros(6), 1.0, 1.0)])
         with pytest.raises(ValueError, match="multiple of 3"):
             GaussianMixturePrior([(np.zeros(4), 1.0, 1.0)])
+
+
+def bits(x):
+    """The float64 bit patterns of x, so that NaNs compare too."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def lse_vectors(rng, rows, length):
+    """Random vectors of one length at scales 1e-3 to 1e6; in a third of
+    them some entries are set to the row's maximum, a tie that SciPy counts
+    apart from the sum."""
+    scale = 10.0 ** rng.uniform(-3, 6, (rows, 1))
+    a = (rng.standard_normal((rows, length)) + rng.uniform(-1, 1, (rows, 1))) * scale
+    tie = (rng.random((rows, 1)) < 1 / 3) & (rng.random((rows, length)) < 0.5)
+    return np.where(tie, a.max(axis=1, keepdims=True), a)
+
+
+class TestLogSumExp:
+    """The score's private log-sum-exp against scipy.special.logsumexp."""
+
+    def test_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(2024)
+        for length in (1, 2, 3, 4):
+            a = lse_vectors(rng, 25_000, length)
+            want = logsumexp(a, axis=1)
+            # one row at a time, as the score called SciPy, equals the batch
+            for row, w in zip(a[:500], want[:500]):
+                assert bits(logsumexp(row)) == bits(w)
+            got = np.array([_logsumexp(row) for row in a])
+            assert np.count_nonzero(bits(got) != bits(want)) == 0
+
+    @pytest.mark.parametrize("a", [
+        [-np.inf], [-np.inf, -np.inf], [-np.inf, 1.5], [2.0, -np.inf, 2.0],
+        [-np.inf, -1e6, -1e6 - 1e-9],
+        [np.inf], [np.inf, 1.0], [-np.inf, np.inf], [np.inf, np.inf],
+        [np.nan, 1.0], [1e308, 1e308], [1e308, -1e308, 7.0]])
+    def test_infinite_entries_and_fallback(self, a):
+        a = np.array(a, dtype=np.float64)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            assert bits(_logsumexp(a)) == bits(logsumexp(a))
+
+
+def scipy_score(prior, x, sigma):
+    """GaussianMixturePrior.score as it was written with scipy's logsumexp."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    dim = x.size
+    s2 = prior.taus ** 2 + sigma ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = (np.log(prior.weights)
+                - 0.5 * np.sum((x[None, :] - prior.means) ** 2, axis=1) / s2
+                - 0.5 * dim * np.log(s2))
+        r = np.exp(logs - logsumexp(logs))
+        return ((r / s2)[:, None] * (prior.means - x[None, :])).sum(axis=0)
+
+
+class TestScoreMatchesScipyVersion:
+    def test_bitwise_over_the_ladder(self):
+        two_mode, _ = two_mode_chain_prior()
+        rng = np.random.default_rng(3)
+        three_mode = GaussianMixturePrior(
+            [(rng.normal(0, 5, 12), tau, w)
+             for tau, w in ((0.5, 0.7), (1.0, 0.2), (2.0, 0.1))])
+        sigmas = NoiseSchedule(sigma_min=0.004, sigma_max=2560.0, n_steps=60).sigmas()[:-1]
+        for prior in (two_mode, three_mode):
+            mid = prior.means.mean(axis=0)
+            points = [mid, prior.means[0], prior.means[-1]]
+            points += [mid + rng.normal(0, scale, mid.size) for scale in (0.1, 3.0, 1e3)]
+            for x in points:
+                for sigma in sigmas:
+                    assert (bits(prior.score(x, sigma))
+                            == bits(scipy_score(prior, x, sigma))).all()
+
+    def test_diverged_x_still_fails_in_tweedie(self):
+        prior, _ = two_mode_chain_prior()
+        x = np.full(prior.n_atoms * 3, 1e200)
+        assert (bits(prior.score(x, 1.0)) == bits(scipy_score(prior, x, 1.0))).all()
+        with pytest.raises(SamplingError, match="non-finite score"):
+            tweedie_estimate(x, 1.0, prior)
 
 
 class TestTweedie:

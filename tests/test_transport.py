@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.pointcloud import PointCloud, extract_pointcloud
 from cryoguide.priors import chain_template, hinged_chain_modes
+from cryoguide import transport
 from cryoguide.transport import (SinkhornConfig, TransportPlan,
                                  divergence_grad, ot_epsilon,
                                  sinkhorn_divergence)
@@ -274,6 +275,110 @@ class TestCrossTerm:
         cost, plan = ot_epsilon(X, Y, SinkhornConfig(epsilon=1e-3, reach=reach))
         assert np.isfinite(cost)
         assert np.all(np.isfinite(plan.gamma))
+
+
+def concatenated_residual_solve(X, a, Y, b, cfg):
+    """transport._solve as it was written with one concatenated residual r,
+    kept to pin the solver's bookkeeping: same arithmetic, same path."""
+    eps = cfg.epsilon
+    balanced = cfg.balanced
+    rho = None if balanced else cfg.reach ** 2
+    C = transport._cost(X, Y)
+    with np.errstate(divide="ignore"):
+        la = np.log(a)[:, None]
+        lb = np.log(b)[None, :]
+    damp = transport._damp(cfg)
+    n, m = C.shape
+    fk = lb - C / eps
+    gk = la - C / eps
+    pk = la + lb - C / eps
+
+    def point(f, g):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = np.exp(pk + (f[:, None] + g[None, :]) / eps)
+            if balanced:
+                ua, ub = a, b
+                value = a @ f + b @ g - eps * gamma.sum()
+            else:
+                ua = a * np.exp(-f / rho)
+                ub = b * np.exp(-g / rho)
+                value = -rho * (ua.sum() + ub.sum()) - eps * gamma.sum()
+            r = np.concatenate([ua - gamma.sum(axis=1), ub - gamma.sum(axis=0)])
+        return value, r, gamma, ua, ub
+
+    def newton(f, g, value, r, gamma, ua, ub):
+        K = gamma / eps
+        hf, hg = K.sum(axis=1), K.sum(axis=0)
+        if not balanced:
+            hf = hf + ua / rho
+            hg = hg + ub / rho
+        ridge = transport._RIDGE * max(hf.max(), hg.max())
+        if n >= m:
+            d = transport._schur_direction(hf + ridge, hg + ridge, K, r[:n], r[n:])
+        else:
+            d = transport._schur_direction(hg + ridge, hf + ridge, K.T, r[n:], r[:n])
+            d = None if d is None else d[::-1]
+        if d is None:
+            return None
+        df, dg = d
+        slope = r[:n] @ df + r[n:] @ dg
+        res = np.max(np.abs(r))
+        move = max(np.abs(df).max(), np.abs(dg).max())
+        cap = transport._MAX_MOVE * eps
+        t = 1.0 if move <= cap else cap / move
+        for _ in range(transport._MAX_HALVINGS):
+            ft, gt = f + t * df, g + t * dg
+            trial = point(ft, gt)
+            if np.isfinite(trial[0]) and np.all(np.isfinite(trial[1])) and (
+                    trial[0] >= value + transport._ARMIJO * t * slope
+                    or np.max(np.abs(trial[1])) < res):
+                return ft, gt, trial
+            t *= 0.5
+        return None
+
+    f = np.zeros(n)
+    g = np.zeros(m)
+    state = None
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        step = newton(f, g, *state) if it > transport._WARMUP_SWEEPS else None
+        if step is None:
+            f = -damp * eps * transport._lse(fk + g[None, :] / eps, axis=1)
+            g = -damp * eps * transport._lse(gk + f[:, None] / eps, axis=0)
+            state = point(f, g)
+        else:
+            f, g, state = step
+        if np.max(np.abs(state[1])) < cfg.tol:
+            converged = True
+            break
+    return f, g, state[2], converged, it
+
+
+class TestCrossSolverBookkeeping:
+    """_solve against the copy above with one concatenated residual."""
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["n>=m", "n<m"])
+    @pytest.mark.parametrize("cfg,converges", [
+        (SinkhornConfig(epsilon=1.0, reach=None), True),
+        (SinkhornConfig(epsilon=1.0, reach=10.0), True),
+        (SinkhornConfig(epsilon=1.0, reach=10.0, use_weights=True), True),
+        (SinkhornConfig(epsilon=1e-3, reach=None), False),
+        (SinkhornConfig(epsilon=1e-3, reach=10.0), False),
+    ], ids=["balanced", "relaxed", "weighted", "balanced-eps1e-3",
+            "relaxed-eps1e-3"])
+    def test_bitwise_equal_to_concatenated_residual(self, cfg, converges, swap):
+        X, Y = chain_cloud(), target_cloud()
+        if swap:
+            X, Y = Y, X
+        args = (X.points, transport._masses(X, cfg), Y.points,
+                transport._masses(Y, cfg), cfg)
+        got = transport._solve(*args)
+        want = concatenated_residual_solve(*args)
+        for name, x, y in zip(("f", "g", "gamma"), got[:3], want[:3]):
+            assert x.tobytes() == y.tobytes(), name
+        assert got[3:] == want[3:]
+        assert got[3] is converges
 
 
 class TestDivergence:

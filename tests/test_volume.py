@@ -51,6 +51,12 @@ def build_mrc_bytes(volume_xyz, voxel, mapcrs=(1, 2, 3), nstart_crs=(0, 0, 0),
     return bytes(header) + file_arr.tobytes()
 
 
+def assert_stored_layout(dmap):
+    assert dmap.data.dtype == np.float64
+    assert dmap.data.flags.c_contiguous
+    assert not dmap.data.flags.writeable
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
@@ -68,11 +74,13 @@ class TestReadMrc:
 
     def test_permuted_axes_recovered(self, tmp_path, rng):
         v = rng.standard_normal((2, 3, 4)).astype(np.float32)
-        for mapcrs in [(2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2), (3, 2, 1)]:
+        for mapcrs in [(1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2),
+                       (3, 2, 1)]:
             path = tmp_path / f"perm{mapcrs[0]}{mapcrs[1]}{mapcrs[2]}.mrc"
             path.write_bytes(build_mrc_bytes(v, voxel=1.0, mapcrs=mapcrs))
             m = read_mrc(path)
             np.testing.assert_array_equal(m.data, v.astype(np.float64))
+            assert_stored_layout(m)
 
     def test_modes_0_and_1(self, tmp_path, rng):
         v = rng.integers(-100, 100, size=(3, 3, 3))
@@ -178,6 +186,14 @@ class TestDensityMap:
         with pytest.raises(ValueError):
             m.data[0, 0, 0] = 1.0
 
+    def test_data_stored_c_contiguous(self, rng):
+        values = rng.standard_normal((3, 4, 5))
+        for given in (np.asfortranarray(values), values.astype(np.float32),
+                      values.transpose(2, 0, 1), values[:, ::2, 1:]):
+            m = DensityMap(data=given, voxel_size=1.0)
+            assert_stored_layout(m)
+            np.testing.assert_array_equal(m.data, given.astype(np.float64))
+
     def test_voxel_world_coords(self):
         m = DensityMap(data=np.zeros((2, 2, 2)), voxel_size=2.0,
                        origin=np.array([1.0, 0.0, -1.0]))
@@ -224,11 +240,12 @@ class TestDust:
 
 class TestCropPad:
     def test_crop_box_and_origin(self):
-        data = np.zeros((10, 10, 10))
+        data = np.zeros((10, 10, 10), order="F")
         data[3:5, 4:7, 5] = 2.0
         m = DensityMap(data=data, voxel_size=2.0, origin=np.array([1.0, 1.0, 1.0]))
         c = crop_pad(m, level=1.0, pad=1)
         assert c.shape == (4, 5, 3)               # bbox (2,3,1) + 2*pad
+        assert_stored_layout(c)
         np.testing.assert_allclose(c.origin, [1 + 2 * 2.0, 1 + 3 * 2.0, 1 + 4 * 2.0])
         # world position of retained density is unchanged
         np.testing.assert_array_equal(c.data[1:3, 1:4, 1], 2.0)
