@@ -6,10 +6,19 @@ and norm, so this ranks poses as the Pearson correlation of splat and
 blurred target would.  A translation scan for each of a quasi-uniform
 rotation set picks candidates; coordinate descent refines them down a
 ladder of blur levels; one splat of the final pose gives the Pearson score.
+
+The scan shifts the model by whole voxels, which keeps each atom's
+trilinear weights, so all shifts of one rotation are one gather from the
+field and one matrix product.  The refinement moves every pose of a level
+in lockstep, one interpolation call per move, while each pose keeps its own
+steps and stopping test.  Both return bitwise the poses that one
+interpolation call per rotation and one descent per pose would.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +28,8 @@ from ._kernels import splat
 from .forward import atom_sigma
 from .structure import AtomicModel
 from .volume import DensityMap
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -141,44 +152,115 @@ def _level_field(target, voxel, sigma_atom, sigma_x):
     pose score at blur level sigma_x reads this field at the atoms."""
     U = gaussian_filter(target, np.hypot(sigma_atom, np.sqrt(2) * sigma_x) / voxel,
                         mode="constant", truncate=4.0)
-    return U - U.mean()
+    U -= U.mean()
+    return U
 
 
-def _lookup_scores(U, idx, amps):
-    """sum_i amps_i * U(idx_i) for each pose; idx is (..., n_atoms, 3) in voxels."""
-    vals = map_coordinates(U, idx.reshape(-1, 3).T, order=1, mode="constant")
-    return vals.reshape(-1, len(amps)) @ amps
+def _padded_pairs(U):
+    """U followed by two zero planes on each high face, stored as z-adjacent
+    pairs: entry [i, j, k] holds (V[i, j, k], V[i, j, k + 1]) of that padded
+    field V (the next row's first value at a row's end, which no read uses).
+    The zero planes are what `_lattice_scores` reads for points off the map,
+    and `[:n0, :n1, :n2, 0]` is a view of U."""
+    pairs = np.zeros(tuple(n + 2 for n in U.shape) + (2,))
+    pairs[:U.shape[0], :U.shape[1], :U.shape[2], 0] = U
+    flat = pairs.reshape(-1, 2)
+    flat[:-1, 1] = flat[1:, 0]
+    return pairs
+
+
+def _lattice_scores(pairs, x, amps, ax):
+    """sum_i amps_i U(x_i + s) for every whole-voxel shift s of the lattice
+    ax[0] x ax[1] x ax[2] (integer arrays; the last axis varies fastest).
+
+    `pairs` is `_padded_pairs(U)` and x is (n_atoms, 3) in voxels.  U is read
+    as map_coordinates(order=1, mode="constant") reads it: trilinear where the
+    point lies in [0, n - 1] on every axis, else 0.  A whole-voxel shift keeps
+    each atom's trilinear weights, so they are computed once; an axis whose
+    shifted coordinate is off the map indexes the zero plane n instead.  So
+    the reads, 4 corner pairs x shifts x atoms, are one gather.
+    """
+    n = np.array(pairs.shape[:3]) - 2
+    strides = np.array(pairs.strides[:3]) // pairs.strides[2]
+    base = np.floor(x)
+    frac = x - base
+    terms = []   # per axis, (shifts, atoms) flat-index terms of the low corner
+    for k in range(3):
+        shifted = x[:, k] + ax[k][:, None]   # the coordinate map_coordinates tests
+        on_map = (shifted >= 0) & (shifted <= n[k] - 1)
+        i = np.where(on_map, base[:, k] + ax[k][:, None], n[k]).astype(np.intp)
+        terms.append(strides[k] * i)
+    i0, i1, i2 = terms
+    c0 = np.stack([i0, i0 + strides[0]])[:, None, :, None, None]
+    c1 = np.stack([i1, i1 + strides[1]])[None, :, None, :, None]
+    idx = (c0 + c1) + i2   # (x corner, y corner, x, y, z shift, atom)
+    vals = np.take(pairs.reshape(-1, 2), idx.reshape(4, -1), axis=0)
+    w = np.stack([1.0 - frac, frac])   # (corner, atom, axis)
+    weights = (w[:, None, :, None, 0] * w[None, :, :, None, 1]
+               * (w[:, :, 2].T * amps[:, None]))
+    # (4 xy corners, shifts, atoms x 2 z corners) @ (4, atoms x 2 z corners)
+    return np.matmul(vals.reshape(4, -1, 2 * len(amps)),
+                     weights.reshape(4, -1, 1)).sum(axis=0)[:, 0]
 
 
 def _refine(coords, amps, com, R, t, U, origin, voxel, sigma_eff):
-    """Coordinate descent on the lookup score over 3 rotation (about the
-    centre of mass) + 3 translation parameters, halving the steps when no
-    move gains more than 1e-6 of the entry score."""
+    """Coordinate descent on the lookup score of every pose (R stacked (P, 3, 3),
+    t (P, 3)) over 3 rotation (about the centre of mass) + 3 translation
+    parameters; returns the refined (R, t, scores) and the lookup count.
+
+    The poses descend in lockstep: each move is tried on every pose still
+    descending, with one lookup for all of them.  A pose halves its own steps
+    when a sweep of the 12 moves gains no more than 1e-6 of its entry score,
+    and stops once that happens with its rotation step under 0.25 degrees.
+    Every pose does the arithmetic it would do alone, so the result is bitwise
+    that of refining the poses one at a time.
+    """
     axes = np.eye(3)
 
     def score(Rc, tc):
-        return float(_lookup_scores(U, (coords @ Rc.T + tc - origin) / voxel, amps)[0])
+        pts = (coords @ Rc.transpose(0, 2, 1) + tc[:, None, :] - origin) / voxel
+        vals = map_coordinates(U, pts.reshape(-1, 3).T, order=1, mode="constant")
+        # a (1, atoms) @ (atoms,) product per pose: the same dot as a lone pose
+        return np.matmul(vals.reshape(len(Rc), 1, -1), amps)[:, 0]
 
+    R, t = R.copy(), t.copy()
     sc = score(R, t)
-    tol = 1e-6 * abs(sc)
-    steps = np.array([max(2.0, sigma_eff)] * 3 + [max(0.5, sigma_eff / 2)] * 3)
-    while True:
-        improved = False
+    lookups = 1
+    tol = 1e-6 * np.abs(sc)
+    # step sizes after k halvings, rotation (degrees) and translation (A),
+    # down to the first rotation step under 0.25 degrees, where a pose stops
+    degrees, shifts = [max(2.0, sigma_eff)], [max(0.5, sigma_eff / 2)]
+    while degrees[-1] >= 0.25:
+        degrees.append(degrees[-1] / 2.0)
+        shifts.append(shifts[-1] / 2.0)
+    shifts = np.array(shifts)
+    # turns[k, p, s]: the step rotation about axis p, sign s, after k halvings
+    turns = np.array([[[rotation_about(axes[p], sgn * d) for sgn in (1.0, -1.0)]
+                       for p in range(3)] for d in degrees])
+    halvings = np.zeros(len(R), dtype=np.intp)
+    live = np.arange(len(R))
+    while live.size:
+        improved = np.zeros(len(R), dtype=bool)
         for p in range(6):
-            for sgn in (1.0, -1.0):
+            for s, sgn in enumerate((1.0, -1.0)):
+                Rl, tl = R[live], t[live]
                 if p < 3:
-                    Rn = rotation_about(axes[p], sgn * steps[p]) @ R
-                    tn = t + (com - Rn @ com) - (com - R @ com)
+                    Rn = turns[halvings[live], p, s] @ Rl
+                    tn = tl + (com - Rn @ com) - (com - Rl @ com)
                 else:
-                    Rn, tn = R, t + sgn * steps[p] * axes[p - 3]
+                    step = sgn * shifts[halvings[live]]
+                    Rn, tn = Rl, tl + step[:, None] * axes[p - 3]
                 scn = score(Rn, tn)
-                if scn > sc + tol:
-                    R, t, sc = Rn, tn, scn
-                    improved = True
-        if not improved:
-            if steps[0] < 0.25:
-                return R, t, sc
-            steps = steps / 2.0
+                lookups += 1
+                up = scn > sc[live] + tol[live]
+                won = live[up]
+                R[won], t[won], sc[won] = Rn[up], tn[up], scn[up]
+                improved[won] = True
+        stalled = ~improved[live]
+        done = stalled & (halvings[live] == len(degrees) - 1)
+        halvings[live[stalled & ~done]] += 1
+        live = live[~done]
+    return R, t, sc, lookups
 
 
 def dock_to_map(model: AtomicModel, dmap: DensityMap, resolution: float,
@@ -204,8 +286,10 @@ def dock_to_map(model: AtomicModel, dmap: DensityMap, resolution: float,
     com = coords.mean(axis=0)
     sigma_atom = atom_sigma(resolution)
 
+    start = time.perf_counter()
     sigma_x0 = _LADDER[0][0]
-    U = _level_field(target, voxel, sigma_atom, sigma_x0)
+    pairs = _padded_pairs(_level_field(target, voxel, sigma_atom, sigma_x0))
+    U = pairs[tuple(slice(n) for n in target.shape) + (0,)]
 
     # 0-inclusive symmetric shift lattice, +-25% of each extent, step half the
     # first level's splat width
@@ -228,22 +312,31 @@ def dock_to_map(model: AtomicModel, dmap: DensityMap, resolution: float,
 
     cands = []
     for R in rotations:
-        idx = ((coords - com) @ R.T + com - origin) / voxel
-        dots = _lookup_scores(U, idx[None, :, :] + shifts[:, None, :], amps)
+        x = ((coords - com) @ R.T + com - origin) / voxel
+        dots = _lattice_scores(pairs, x, amps, ax)
         j = int(np.argmax(dots))
         cands.append((dots[j], R, com - R @ com + shifts[j] * voxel))
+    del pairs   # U, a view of it, holds it only until the next level
     cands.sort(key=lambda c: -c[0])   # stable: ties keep candidate order
-    poses = [(R, t) for _, R, t in cands[:_SCAN_KEEP]]
+    R = np.array([c[1] for c in cands[:_SCAN_KEEP]])
+    t = np.array([c[2] for c in cands[:_SCAN_KEEP]])
+    scan_s = time.perf_counter() - start
 
+    levels = []
     for level, (sigma_x, keep) in enumerate(_LADDER):
+        start = time.perf_counter()
         if level:
             U = _level_field(target, voxel, sigma_atom, sigma_x)
         sigma_eff = float(np.hypot(sigma_atom, sigma_x))
-        refined = [_refine(coords, amps, com, R, t, U, origin, voxel, sigma_eff)
-                   for R, t in poses]
-        refined.sort(key=lambda c: -c[2])
-        poses = [(R, t) for R, t, _ in refined[:keep]]
+        R, t, sc, lookups = _refine(coords, amps, com, R, t, U, origin, voxel,
+                                    sigma_eff)
+        best = np.argsort(-sc, kind="stable")[:keep]   # ties keep pose order
+        R, t = R[best], t[best]
+        levels.append(f"{sigma_x:g} A {time.perf_counter() - start:.3f} s "
+                      f"{lookups} lookups")
+    log.debug("dock: scan %.3f s over %d rotations x %d shifts; refinement %s",
+              scan_s, len(rotations), len(shifts), ", ".join(levels))
 
-    R, t = poses[0]
+    R, t = R[0], t[0]
     sim = splat(coords @ R.T + t, amps, target.shape, origin, voxel, sigma_atom)
     return RigidTransform(R, t), _pearson(sim, target)

@@ -8,6 +8,7 @@ executions emit identical files.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -109,12 +110,22 @@ def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int
                            reference=reference)
 
 
-def _run_one(task):
-    """One sample and its `SampleStats`, guided unless the task has no guidance
-    context (then the stats are None); any failure is returned, not raised, so
-    that it fails this sample alone and the serial and the pooled map record it
-    the same way."""
-    prior, template, ctx, schedule, gsched, seed = task
+# (prior, template, ctx, schedule, gsched) of the replicate being sampled: set
+# once per replicate in this process, or once per worker by the pool initializer
+_shared = None
+
+
+def _hold(shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_one(seed):
+    """One sample and its `SampleStats`, guided unless the replicate has no
+    guidance context (then the stats are None); any failure is returned, not
+    raised, so that it fails this sample alone and the serial and the pooled
+    map record it the same way."""
+    prior, template, ctx, schedule, gsched = _shared
     try:
         if ctx is None:
             return template.with_coords(sample_unguided(prior, schedule, seed)), None
@@ -125,10 +136,10 @@ def _run_one(task):
         return exc
 
 
-def _submit(pool: ProcessPoolExecutor, task) -> Future:
+def _submit(pool: ProcessPoolExecutor, seed) -> Future:
     """Submit one sample; a pool already broken gives a future holding that error."""
     try:
-        return pool.submit(_run_one, task)
+        return pool.submit(_run_one, seed)
     except BrokenProcessPool as exc:
         failed = Future()
         failed.set_exception(exc)
@@ -138,15 +149,30 @@ def _submit(pool: ProcessPoolExecutor, task) -> Future:
 def _map_samples(tasks, workers: int):
     """Each task's result or failure, in task order, from `workers` processes.
 
-    One pool serves one replicate.  If a worker process dies, every task the
-    pool has not finished yields a RuntimeError in place of its result, and
-    the next replicate starts a fresh pool.
+    A task is (prior, template, ctx, schedule, gsched, seed), and the tasks of
+    one call are one replicate's, sharing the first five fields.  Those are
+    handed over once, from the first task, to this process or to each worker
+    as the pool starts it; a task then sends only its seed.  One pool serves
+    one replicate.  If a worker process dies, every task the pool has not
+    finished yields a RuntimeError in place of its result, and the next
+    replicate starts a fresh pool.
     """
-    if workers == 1:
-        yield from map(_run_one, tasks)
+    tasks = iter(tasks)
+    first = next(tasks, None)
+    if first is None:
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [_submit(pool, task) for task in tasks]
+    shared = first[:-1]
+    seeds = itertools.chain([first[-1]], (task[-1] for task in tasks))
+    if workers == 1:
+        _hold(shared)
+        try:
+            yield from map(_run_one, seeds)
+        finally:
+            _hold(None)
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=_hold,
+                             initargs=(shared,)) as pool:
+        futures = [_submit(pool, seed) for seed in seeds]
         for fut in futures:
             try:
                 yield fut.result()

@@ -1,15 +1,21 @@
 """Rigid alignment and density docking tests."""
 
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter, map_coordinates
 
 from cryoguide import alignment
-from cryoguide.alignment import (RigidTransform, _pearson, dock_to_map, kabsch,
-                                 quasi_uniform_rotations, rotation_about)
+from cryoguide.alignment import (RigidTransform, _lattice_scores, _level_field,
+                                 _padded_pairs, _pearson, _quat_matrix, _refine,
+                                 dock_to_map, kabsch, quasi_uniform_rotations,
+                                 rotation_about)
 from cryoguide.forward import atom_sigma, grid_for_model, simulate_map
-from cryoguide.priors import chain_template, hinged_chain_modes
+from cryoguide.priors import chain_template, hinged_chain_modes, single_mode_chain_prior
 from cryoguide.structure import Atom, AtomicModel
 
 
@@ -208,3 +214,223 @@ class TestDock:
         flat = dmap.__class__(np.zeros((4, 4, 4)), 1.0, np.zeros(3))
         with pytest.raises(ValueError, match="variance"):
             dock_to_map(model, flat, 2.0)
+
+
+# Oracles: the per-rotation scan, per-pose refinement and dock that the
+# batched forms replaced.  The batched forms must reproduce their poses bitwise.
+
+def oracle_lookup_scores(U, idx, amps):
+    """sum_i amps_i * U(idx_i) for each pose; idx is (..., n_atoms, 3) in voxels."""
+    vals = map_coordinates(U, idx.reshape(-1, 3).T, order=1, mode="constant")
+    return vals.reshape(-1, len(amps)) @ amps
+
+
+def oracle_refine(coords, amps, com, R, t, U, origin, voxel, sigma_eff):
+    axes = np.eye(3)
+
+    def score(Rc, tc):
+        return float(oracle_lookup_scores(U, (coords @ Rc.T + tc - origin) / voxel,
+                                          amps)[0])
+
+    sc = score(R, t)
+    tol = 1e-6 * abs(sc)
+    steps = np.array([max(2.0, sigma_eff)] * 3 + [max(0.5, sigma_eff / 2)] * 3)
+    while True:
+        improved = False
+        for p in range(6):
+            for sgn in (1.0, -1.0):
+                if p < 3:
+                    Rn = rotation_about(axes[p], sgn * steps[p]) @ R
+                    tn = t + (com - Rn @ com) - (com - R @ com)
+                else:
+                    Rn, tn = R, t + sgn * steps[p] * axes[p - 3]
+                scn = score(Rn, tn)
+                if scn > sc + tol:
+                    R, t, sc = Rn, tn, scn
+                    improved = True
+        if not improved:
+            if steps[0] < 0.25:
+                return R, t, sc
+            steps = steps / 2.0
+
+
+def oracle_level_field(target, voxel, sigma_atom, sigma_x):
+    U = gaussian_filter(target, np.hypot(sigma_atom, np.sqrt(2) * sigma_x) / voxel,
+                        mode="constant", truncate=4.0)
+    return U - U.mean()
+
+
+def oracle_dock(model, dmap, resolution, n_rotations=576, seed=0):
+    target = dmap.data
+    coords = model.coords()
+    amps = model.atomic_numbers().astype(np.float64)
+    voxel, origin = dmap.voxel_size, dmap.origin
+    com = coords.mean(axis=0)
+    sigma_atom = atom_sigma(resolution)
+    ladder = ((8.0, 4), (4.0, 4), (2.0, 1), (1.0, 1), (0.0, 1))
+    U = oracle_level_field(target, voxel, sigma_atom, ladder[0][0])
+    extents = np.array(target.shape) * voxel
+    ranges = [max(1, int(e * 0.25 // voxel)) for e in extents]
+    step = max(1, int(np.hypot(sigma_atom, ladder[0][0]) / (2 * voxel)))
+    ax = [np.unique(np.concatenate([np.arange(0, r + 1, step),
+                                    -np.arange(0, r + 1, step)]))
+          for r in ranges]
+    shifts = np.array([(sx, sy, sz) for sx in ax[0] for sy in ax[1] for sz in ax[2]],
+                      dtype=np.float64)
+    rotations = [np.eye(3)] + quasi_uniform_rotations(n_rotations)
+    if seed != 0:
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal(4)
+        q /= np.linalg.norm(q)
+        off = _quat_matrix(*q)
+        rotations = [np.eye(3)] + [off @ R for R in rotations[1:]]
+    cands = []
+    for R in rotations:
+        idx = ((coords - com) @ R.T + com - origin) / voxel
+        dots = oracle_lookup_scores(U, idx[None, :, :] + shifts[:, None, :], amps)
+        j = int(np.argmax(dots))
+        cands.append((dots[j], R, com - R @ com + shifts[j] * voxel))
+    cands.sort(key=lambda c: -c[0])
+    poses = [(R, t) for _, R, t in cands[:16]]
+    for level, (sigma_x, keep) in enumerate(ladder):
+        if level:
+            U = oracle_level_field(target, voxel, sigma_atom, sigma_x)
+        sigma_eff = float(np.hypot(sigma_atom, sigma_x))
+        refined = [oracle_refine(coords, amps, com, R, t, U, origin, voxel, sigma_eff)
+                   for R, t in poses]
+        refined.sort(key=lambda c: -c[2])
+        poses = [(R, t) for R, t, _ in refined[:keep]]
+    R, t = poses[0]
+    sim = alignment.splat(coords @ R.T + t, amps, target.shape, origin, voxel,
+                          sigma_atom)
+    return RigidTransform(R, t), _pearson(sim, target)
+
+
+@pytest.fixture(scope="module")
+def registration_map():
+    """The registration test's target: the single-mode chain's anchor pose,
+    turned 25 degrees and moved by (8, -5, 6) A, simulated at 2 A."""
+    prior, _ = single_mode_chain_prior()
+    anchor = prior.mode_coords(0)
+    r = rotation_about(np.array([0.3, 1.0, -0.2]), 25.0)
+    com = anchor.mean(axis=0)
+    truth = chain_template((anchor - com) @ r.T + com + np.array([8.0, -5.0, 6.0]))
+    grid = grid_for_model(truth, voxel_size=1.0, pad=4.0)
+    dmap = simulate_map(truth, grid, resolution=2.0)
+    assert dmap.data.shape == (66, 50, 47)
+    return chain_template(anchor), dmap
+
+
+def lattice_case(U, x, amps, ax):
+    """(new scores, oracle scores) of one scan."""
+    shifts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    expected = oracle_lookup_scores(U, x[None] + shifts[:, None].astype(float), amps)
+    return _lattice_scores(_padded_pairs(U), x, amps, ax), expected
+
+
+def assert_scan_matches(got, expected):
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.argmax(got) == np.argmax(expected)
+
+
+class TestLatticeScan:
+    """The gather scan against one map_coordinates call per rotation."""
+
+    AX = [np.arange(-6, 7, 2), np.arange(-4, 5, 2), np.arange(-6, 7, 3)]
+
+    def test_random_rotations(self, chain_map):
+        model, dmap = chain_map
+        U = _level_field(dmap.data, dmap.voxel_size, atom_sigma(2.0), 8.0)
+        coords = model.coords()
+        amps = model.atomic_numbers().astype(np.float64)
+        com = coords.mean(axis=0)
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            R = rand_rotation(rng)
+            x = ((coords - com) @ R.T + com - dmap.origin) / dmap.voxel_size
+            x += rng.uniform(-3.0, 3.0, 3)
+            assert_scan_matches(*lattice_case(U, x, amps, self.AX))
+
+    def test_face_integer_and_outside_points(self):
+        rng = np.random.default_rng(12)
+        U = rng.normal(size=(9, 11, 8))
+        n = np.array(U.shape)
+        amps = rng.uniform(1.0, 8.0, 40)
+        x = rng.uniform(0.0, 1.0, (40, 3)) * (n - 1)
+        x[:8, 0] = n[0] - 1                       # on the high x face
+        x[8:14, 1] = n[1] - 1 - 4                 # on the high y face after +4
+        x[14:20, 2] = 0.0                         # on the low z face
+        x[20:28] = np.round(x[20:28])             # on lattice points
+        x[28:34, 0] = rng.uniform(-8.0, -0.01, 6)     # off the low x face
+        x[34:40, 2] = n[2] - 1 + rng.uniform(0.01, 8.0, 6)  # off the high z face
+        x[38, 1] = n[1] - 1 + 1e-13               # just off the high y face
+        assert_scan_matches(*lattice_case(U, x, amps, self.AX))
+
+    @pytest.mark.parametrize("thickness", [1, 2, 3])
+    def test_thin_maps(self, thickness):
+        rng = np.random.default_rng(thickness)
+        U = rng.normal(size=(12, thickness, 10))
+        amps = rng.uniform(1.0, 8.0, 25)
+        x = rng.uniform(-2.0, 12.0, (25, 3))
+        x[:, 1] = rng.choice(np.arange(thickness, dtype=float), 25)
+        x[:5, 1] = rng.uniform(0.0, thickness - 1, 5)
+        ax = [np.arange(-4, 5, 2), np.arange(-2, 3), np.arange(-3, 4, 3)]
+        assert_scan_matches(*lattice_case(U, x, amps, ax))
+
+
+class TestBatchedDock:
+    def test_lockstep_refine_matches_serial(self, chain_map):
+        model, dmap = chain_map
+        coords = model.coords()
+        amps = model.atomic_numbers().astype(np.float64)
+        com = coords.mean(axis=0)
+        sigma_eff = float(np.hypot(atom_sigma(2.0), 4.0))
+        U = _level_field(dmap.data, dmap.voxel_size, atom_sigma(2.0), 4.0)
+        rng = np.random.default_rng(13)
+        Rs, ts = [], []
+        for _ in range(16):
+            R = rotation_about(rng.normal(size=3), rng.uniform(0.0, 40.0))
+            Rs.append(R)
+            ts.append(com - R @ com + rng.uniform(-3.0, 3.0, 3))
+        R, t, sc, lookups = _refine(coords, amps, com, np.array(Rs), np.array(ts), U,
+                                    dmap.origin, dmap.voxel_size, sigma_eff)
+        assert lookups > 12
+        for i in range(16):
+            Ro, to, so = oracle_refine(coords, amps, com, Rs[i], ts[i], U, dmap.origin,
+                                       dmap.voxel_size, sigma_eff)
+            np.testing.assert_array_equal(R[i], Ro)
+            np.testing.assert_array_equal(t[i], to)
+            assert sc[i] == so
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_dock_matches_serial_dock(self, chain_map, registration_map, seed):
+        # the chain map at 64 rotations (the self-dock tests' count), the
+        # registration map at the pipeline's default 576
+        for (model, dmap), n_rot in ((chain_map, 64), (registration_map, 576)):
+            transform, score = dock_to_map(model, dmap, 2.0, n_rotations=n_rot,
+                                           seed=seed)
+            expected, expected_score = oracle_dock(model, dmap, 2.0, n_rotations=n_rot,
+                                                   seed=seed)
+            np.testing.assert_array_equal(transform.rotation, expected.rotation)
+            np.testing.assert_array_equal(transform.translation, expected.translation)
+            assert score == expected_score
+
+    def test_memory_stays_near_the_map_size(self, registration_map):
+        # the scan gathers from the field stored once as z-adjacent pairs; a
+        # copy packing all 8 trilinear corners would alone take 8x the map
+        model, dmap = registration_map
+        tracemalloc.start()
+        try:
+            dock_to_map(model, dmap, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * dmap.data.nbytes
+
+    def test_logs_scan_and_refinement_split(self, chain_map, caplog):
+        model, dmap = chain_map
+        with caplog.at_level(logging.DEBUG, logger="cryoguide.alignment"):
+            dock_to_map(model, dmap, 2.0, n_rotations=8)
+        [line] = [r.getMessage() for r in caplog.records if "dock:" in r.getMessage()]
+        assert "over 9 rotations x " in line
+        assert len(alignment._LADDER) == line.count(" lookups")

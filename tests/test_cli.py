@@ -387,6 +387,30 @@ class TestGuide:
         assert all(isinstance(o, RuntimeError) for o in outs)
         assert all(str(o).startswith("worker process died: ") for o in outs)
 
+    def test_pool_tasks_carry_only_their_seed(self, workdir, tmp_path, monkeypatch):
+        # the replicate's context reaches each worker once, through the pool's
+        # initializer; a task pickles its seed alone
+        inits, submitted = [], []
+
+        class RecordingPool(pipeline.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                inits.append(kwargs["initargs"])
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("CRYOGUIDE_WORKERS", "2")
+        assert main(["guide", "--config", str(base_config(workdir, tmp_path))]) == 0
+        assert len(inits) == 2 and len(submitted) == 4
+        assert all(len(args) == 1 and isinstance(args[0], np.random.SeedSequence)
+                   for args in submitted)
+        for (shared,) in inits:
+            _, _, ctx, _, _ = shared
+            assert ctx.target_map.data.shape == read_mrc(workdir / "chain.mrc").data.shape
+
     def test_bad_worker_count(self, workdir, tmp_path, monkeypatch, capsys):
         cfg = base_config(workdir, tmp_path)
         for raw, message in (("0", "must be >= 1, got 0"),
