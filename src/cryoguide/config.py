@@ -86,10 +86,17 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def sinkhorn_config(self) -> SinkhornConfig:
-        reach = self.reach if self.reach > 0 else None
-        return SinkhornConfig(epsilon=self.epsilon, reach=reach,
-                              max_iters=self.sinkhorn_max_iters,
-                              tol=self.sinkhorn_tol)
+        """Transport settings; reach = 0 means balanced transport.  A negative
+        reach, a non-positive epsilon or sinkhorn_max_iters below 1 is a
+        ConfigError."""
+        if self.reach < 0:
+            raise ConfigError(f"reach must be >= 0 (0 = balanced), got {self.reach}")
+        try:
+            return SinkhornConfig(epsilon=self.epsilon, reach=self.reach or None,
+                                  max_iters=self.sinkhorn_max_iters,
+                                  tol=self.sinkhorn_tol)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 class ConfigError(ValueError):

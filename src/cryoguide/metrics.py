@@ -33,22 +33,13 @@ def tm_d0(n_residues: int) -> float:
     return max(0.5, 1.24 * (n_residues - 15) ** (1.0 / 3.0) - 1.8)
 
 
-def _atom_key(atom):
-    return (atom.chain_id, atom.res_index, atom.atom_name)
-
-
-def _pair_atoms(sample: AtomicModel, reference: AtomicModel):
-    """Index pairs matched by (chain, residue index, atom name); duplicates keep
-    first occurrence."""
-    ref_index = {}
-    for j, atom in enumerate(reference.atoms):
-        ref_index.setdefault(_atom_key(atom), j)
-    pairs = []
-    for i, atom in enumerate(sample.atoms):
-        j = ref_index.get(_atom_key(atom))
-        if j is not None:
-            pairs.append((i, j))
-    return pairs
+def _first_index(model: AtomicModel) -> dict:
+    """(chain, residue number, atom name) -> index of the first atom with that key."""
+    first = {}
+    for i, key in enumerate(zip(model.chain_ids.tolist(), model.res_indices.tolist(),
+                                model.atom_names.tolist())):
+        first.setdefault(key, i)
+    return first
 
 
 def _rmsd(a: np.ndarray, b: np.ndarray) -> float:
@@ -66,37 +57,37 @@ def evaluate(sample: AtomicModel, reference: AtomicModel,
     sample is already in the map frame, so realigning it to the reference
     would break its registration.
     """
-    pairs = _pair_atoms(sample, reference)
+    # (sample, reference) indices of atoms with the same key, in sample
+    # order; a key repeated on either side pairs its first atom only
+    ref_index = _first_index(reference)
+    pairs = [(i, ref_index[key]) for key, i in _first_index(sample).items() if key in ref_index]
     n_unpaired = (len(sample) - len(pairs)) + (len(reference) - len(pairs))
     if not pairs:
         raise ValueError("no atoms could be paired between sample and reference")
-    sam = sample.coords()
-    ref = reference.coords()
-    si = np.array([i for i, _ in pairs])
-    ri = np.array([j for _, j in pairs])
-    ca_mask = np.array([sample.atoms[i].atom_name == "CA" for i, _ in pairs])
+    si, ri = np.array(pairs).T
+    sam = sample.coords()[si]
+    ref = reference.coords()[ri]
+    ca_mask = sample.atom_names[si] == "CA"
     if int(ca_mask.sum()) < 3:
         raise ValueError(f"need >= 3 paired alpha-carbons, got {int(ca_mask.sum())}")
 
-    transform, rmsd_ca = kabsch(sam[si][ca_mask], ref[ri][ca_mask])
-    moved = transform.apply(sam[si])
-    rmsd_all = _rmsd(moved, ref[ri])
+    transform, rmsd_ca = kabsch(sam[ca_mask], ref[ca_mask])
+    moved = transform.apply(sam)
+    rmsd_all = _rmsd(moved, ref)
 
-    n_res = sum(1 for a in reference.atoms if a.atom_name == "CA")
+    n_res = int(np.count_nonzero(reference.atom_names == "CA"))
     d0 = tm_d0(n_res)
-    d = np.sqrt(np.sum((moved[ca_mask] - ref[ri][ca_mask]) ** 2, axis=1))
+    d = np.sqrt(np.sum((moved[ca_mask] - ref[ca_mask]) ** 2, axis=1))
     tm = float(np.sum(1.0 / (1.0 + (d / d0) ** 2)) / n_res)
 
     rmsd_local = None
     if local_range is not None:
         chain, lo, hi = local_range
-        in_range = np.array([
-            reference.atoms[j].chain_id == chain
-            and lo <= reference.atoms[j].res_index <= hi
-            for _, j in pairs])
+        res_index = reference.res_indices[ri]
+        in_range = (reference.chain_ids[ri] == chain) & (lo <= res_index) & (res_index <= hi)
         if not in_range.any():
             raise ValueError(f"no paired atoms in range {local_range}")
-        rmsd_local = _rmsd(moved[in_range], ref[ri][in_range])
+        rmsd_local = _rmsd(moved[in_range], ref[in_range])
 
     rscc_val = None
     if dmap is not None:

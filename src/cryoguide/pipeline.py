@@ -8,7 +8,6 @@ executions emit identical files.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -55,11 +54,15 @@ def _worker_count() -> int:
 
 
 def _check_run_shape(cfg: RunConfig) -> None:
-    """Reject a run shape that makes no samples, before any file is written."""
-    for key, least in (("n_samples", 1), ("n_replicates", 1), ("dock_rotations", 0)):
+    """Reject a run shape that makes no samples, a negative seed or cloud
+    size, or a non-positive resolution, before any file is written."""
+    for key, least in (("n_samples", 1), ("n_replicates", 1), ("dock_rotations", 0),
+                       ("seed", 0), ("k_points", 0)):
         value = getattr(cfg, key)
         if value < least:
             raise ConfigError(f"{key} must be >= {least}, got {value}")
+    if not cfg.resolution > 0:
+        raise ConfigError(f"resolution must be > 0, got {cfg.resolution}")
 
 
 def _sample_seed(cfg_seed: int, rep: int, j: int) -> np.random.SeedSequence:
@@ -146,23 +149,16 @@ def _submit(pool: ProcessPoolExecutor, seed) -> Future:
         return failed
 
 
-def _map_samples(tasks, workers: int):
-    """Each task's result or failure, in task order, from `workers` processes.
+def _map_samples(shared, seeds, workers: int):
+    """Each seed's result or failure, in seed order, from `workers` processes.
 
-    A task is (prior, template, ctx, schedule, gsched, seed), and the tasks of
-    one call are one replicate's, sharing the first five fields.  Those are
-    handed over once, from the first task, to this process or to each worker
-    as the pool starts it; a task then sends only its seed.  One pool serves
-    one replicate.  If a worker process dies, every task the pool has not
-    finished yields a RuntimeError in place of its result, and the next
-    replicate starts a fresh pool.
+    `shared` is one replicate's (prior, template, ctx, schedule, gsched).  It
+    is handed over once, to this process or to each worker as the pool starts
+    it; a task then sends only its seed.  One pool serves one replicate.  If
+    a worker process dies, every task the pool has not finished yields a
+    RuntimeError in place of its result, and the next replicate starts a
+    fresh pool.
     """
-    tasks = iter(tasks)
-    first = next(tasks, None)
-    if first is None:
-        return
-    shared = first[:-1]
-    seeds = itertools.chain([first[-1]], (task[-1] for task in tasks))
     if workers == 1:
         _hold(shared)
         try:
@@ -195,8 +191,10 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
     prior, template = _prior_and_template(cfg)
     reference = read_pdb(cfg.reference) if cfg.reference else None
     schedule = cfg.noise_schedule()
-    # both commands reject invalid guidance settings, though sample uses none
+    # both commands reject invalid guidance and transport settings, though
+    # sample uses none
     gsched = cfg.guidance_schedule()
+    cfg.sinkhorn_config()
     if guided and gsched.n_steps != schedule.n_steps:
         raise ConfigError(f"guidance stages sum to {gsched.n_steps}, "
                           f"n_steps = {schedule.n_steps}")
@@ -209,10 +207,9 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
         rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
         os.makedirs(rep_dir, exist_ok=True)
         ctx = build_context(cfg, dmap, prior, rep) if guided else None
-        tasks = ((prior, template, ctx, schedule, gsched,
-                  _sample_seed(cfg.seed, rep, j))
-                 for j in range(cfg.n_samples))
-        for j, out in enumerate(_map_samples(tasks, workers)):
+        seeds = (_sample_seed(cfg.seed, rep, j) for j in range(cfg.n_samples))
+        for j, out in enumerate(_map_samples((prior, template, ctx, schedule, gsched),
+                                             seeds, workers)):
             seed_key = f"{cfg.seed}:{rep}:{j}"
             if isinstance(out, Exception):
                 log.warning("rep %d sample %d failed: %s", rep, j, out)

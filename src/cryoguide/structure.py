@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 import numpy as np
 
@@ -37,57 +37,82 @@ class Atom:
         object.__setattr__(self, "pos", pos)
 
 
-def _checked_atom(element, pos, chain_id, res_index, res_name, atom_name) -> Atom:
-    """Atom built without Atom's per-atom checks, for fields the caller has
-    checked: an upper-case element in ATOMIC_NUMBERS and a finite float64
-    (3,) `pos`."""
-    atom = object.__new__(Atom)
-    set_field = object.__setattr__
-    set_field(atom, "element", element)
-    set_field(atom, "pos", pos)
-    set_field(atom, "chain_id", chain_id)
-    set_field(atom, "res_index", res_index)
-    set_field(atom, "res_name", res_name)
-    set_field(atom, "atom_name", atom_name)
-    return atom
-
-
 def _non_finite_row(coords: np.ndarray) -> int | None:
     """Index of the first row of an (N, 3) array holding a NaN or inf, if any."""
     finite = np.isfinite(coords).all(axis=1)
     return None if finite.all() else int(np.argmin(finite))
 
 
-@dataclass(frozen=True)
 class AtomicModel:
-    atoms: tuple[Atom, ...]
-    provenance: str = ""
+    """Atoms as read-only columns, one per Atom field: `elements`, (N, 3) float64
+    coordinates (`coords()`), `chain_ids`, `res_indices`, `res_names` and
+    `atom_names`.  `atoms` builds Atom records on demand; nothing can be rebound."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+    # the columns in Atom's field order, then the provenance
+    __slots__ = ("elements", "_xyz", "chain_ids", "res_indices", "res_names",
+                 "atom_names", "provenance")
+
+    def __new__(cls, atoms, provenance: str = ""):
+        atoms = tuple(atoms)
+        for a in atoms:
+            if not isinstance(a.res_index, numbers.Integral):
+                raise ValueError(f"residue number {a.res_index!r} is not an integer")
+        columns = [[getattr(a, f.name) for a in atoms] for f in fields(Atom)]
+        columns[1] = np.reshape(columns[1], (-1, 3))
+        return cls._from_columns(*columns, provenance)
+
+    @classmethod
+    def _from_columns(cls, *columns) -> AtomicModel:
+        """Every model is made here, from checked columns (upper-case elements
+        of ATOMIC_NUMBERS, finite coordinates) and the provenance in
+        `__slots__` order.  A column already of its dtype is shared."""
+        model = object.__new__(cls)
+        for name, column, dtype in zip(cls.__slots__, columns,
+                                       (str, np.float64, str, np.int64, str, str)):
+            column = np.asarray(column, dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(model, name, column)
+        object.__setattr__(model, "provenance", columns[-1])
+        return model
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def _take(self, index) -> AtomicModel:
+        return self._from_columns(*(c[index] for c in self._columns()), self.provenance)
+
+    def __reduce__(self):
+        return self._from_columns, (*self._columns(), self.provenance)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.elements)
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The atoms as Atom records, built on each read."""
+        return tuple(map(Atom, *(c.tolist() for c in self._columns())))
 
     def coords(self) -> np.ndarray:
-        """(N, 3) coordinate array in atom order."""
-        if not self.atoms:
-            return np.zeros((0, 3))
-        return np.array([a.pos for a in self.atoms])
+        """(N, 3) coordinate array in atom order (read-only)."""
+        return self._xyz
 
     def atomic_numbers(self) -> np.ndarray:
-        return np.array([ATOMIC_NUMBERS[a.element] for a in self.atoms], dtype=np.float64)
+        return np.array([ATOMIC_NUMBERS[e] for e in self.elements.tolist()], dtype=np.float64)
 
-    def with_coords(self, coords: np.ndarray, provenance: str | None = None) -> "AtomicModel":
-        """Copy of the model with coordinates replaced, metadata preserved."""
-        coords = np.array(coords, dtype=np.float64).reshape(len(self.atoms), 3)
-        row = _non_finite_row(coords)
+    def with_coords(self, coords: np.ndarray, provenance: str | None = None) -> AtomicModel:
+        """Copy of the model with coordinates replaced, sharing its metadata."""
+        xyz = np.array(coords, dtype=np.float64).reshape(len(self), 3)
+        row = _non_finite_row(xyz)
         if row is not None:
-            raise ValueError(f"non-finite atom position {coords[row]} (atom {row})")
-        atoms = tuple(_checked_atom(a.element, p, a.chain_id, a.res_index,
-                                    a.res_name, a.atom_name)
-                      for a, p in zip(self.atoms, coords))
-        return AtomicModel(atoms, self.provenance if provenance is None else provenance)
+            raise ValueError(f"non-finite atom position {xyz[row]} (atom {row})")
+        elements, _, *metadata = self._columns()
+        return self._from_columns(elements, xyz, *metadata,
+                                  self.provenance if provenance is None else provenance)
 
 
 def _infer_element(name_field: str) -> str:
@@ -109,32 +134,23 @@ def _infer_element(name_field: str) -> str:
 
 def read_pdb(path) -> AtomicModel:
     """Parse ATOM records: first model, altloc ' '/'A', occupancy > 0, no hydrogens."""
-    fields, xyz, linenos = [], [], []
-    in_first_model = True
+    rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            rec = line[:6]
-            if rec == "MODEL ":
-                continue
-            if rec == "ENDMDL":
-                in_first_model = False
-                continue
-            if not in_first_model or not rec.startswith("ATOM"):
+            if line.startswith("ENDMDL"):       # the first model ends
+                break
+            if not line.startswith("ATOM"):
                 continue
             if len(line.rstrip("\n")) < 54:
                 raise PdbFormatError(f"line {lineno}: ATOM record too short")
-            altloc = line[16]
-            if altloc not in (" ", "A"):
+            if line[16] not in (" ", "A"):      # altloc
                 continue
             try:
-                x = float(line[30:38])
-                y = float(line[38:46])
-                z = float(line[46:54])
+                xyz = float(line[30:38]), float(line[38:46]), float(line[46:54])
             except ValueError as exc:
                 raise PdbFormatError(f"line {lineno}: bad coordinate field: {exc}") from exc
-            occ_field = line[54:60].strip()
-            occupancy = float(occ_field) if occ_field else 1.0
-            if occupancy <= 0:
+            occ_field = line[54:60].strip()     # blank: occupancy 1
+            if occ_field and float(occ_field) <= 0:
                 continue
             element = line[76:78].strip().upper() if len(line) >= 78 else ""
             if not element:
@@ -147,36 +163,34 @@ def read_pdb(path) -> AtomicModel:
                 res_index = int(line[22:26])
             except ValueError as exc:
                 raise PdbFormatError(f"line {lineno}: bad residue number: {exc}") from exc
-            fields.append((element, line[21], res_index,
-                           line[17:20].strip() or "UNK", line[12:16].strip()))
-            xyz.append((x, y, z))
+            rows.append((element, xyz, line[21], res_index,
+                         line[17:20].strip() or "UNK", line[12:16].strip()))
             linenos.append(lineno)
-    if not fields:
+    if not rows:
         raise PdbFormatError(f"{path}: no usable ATOM records")
-    coords = np.array(xyz, dtype=np.float64)
-    row = _non_finite_row(coords)
+    model = AtomicModel._from_columns(*zip(*rows), str(path))
+    row = _non_finite_row(model.coords())
     if row is not None:
-        raise PdbFormatError(f"line {linenos[row]}: non-finite coordinate {coords[row]}")
-    atoms = tuple(_checked_atom(element, p, chain_id, res_index, res_name, atom_name)
-                  for (element, chain_id, res_index, res_name, atom_name), p
-                  in zip(fields, coords))
-    return AtomicModel(atoms, provenance=str(path))
+        raise PdbFormatError(f"line {linenos[row]}: non-finite coordinate "
+                             f"{model.coords()[row]}")
+    return model
 
 
 _ATOM_RECORD = "ATOM  %5d %-4s %3s %s%4d    %8.3f%8.3f%8.3f  1.00  0.00          %2s"
 _TER_RECORD = "TER   %5d      %3s %s%4d"
 
 
-def _field_width_error(atom: Atom) -> str | None:
-    """What of `atom` does not fit its fixed-width PDB column, if anything."""
-    if not (isinstance(atom.res_index, numbers.Integral) and -999 <= atom.res_index <= 9999):
-        return f"residue number {atom.res_index!r} (an integer from -999 to 9999)"
-    if len(atom.atom_name) > 4:
-        return f"atom name {atom.atom_name!r} (at most 4 characters)"
-    if len(atom.res_name) > 3:
-        return f"residue name {atom.res_name!r} (at most 3 characters)"
-    if len(atom.chain_id) != 1:
-        return f"chain ID {atom.chain_id!r} (exactly 1 character)"
+def _field_width_error(chain_id: str, res_index: int, res_name: str,
+                       atom_name: str) -> str | None:
+    """Which field of an atom does not fit its fixed-width PDB column, if any."""
+    if not -999 <= res_index <= 9999:
+        return f"residue number {res_index!r} (an integer from -999 to 9999)"
+    if len(atom_name) > 4:
+        return f"atom name {atom_name!r} (at most 4 characters)"
+    if len(res_name) > 3:
+        return f"residue name {res_name!r} (at most 3 characters)"
+    if len(chain_id) != 1:
+        return f"chain ID {chain_id!r} (exactly 1 character)"
     return None
 
 
@@ -186,36 +200,31 @@ def write_pdb(model: AtomicModel, path) -> None:
     A value that does not fit its column (coordinate, residue number, serial,
     atom, residue or chain name) raises ValueError before anything is written.
     """
-    if not model.atoms:
+    if not len(model):
         raise ValueError("write_pdb: empty model")
-    coords = model.coords()
-    for c in (coords.min(), coords.max()):   # the widest 8.3f fields
+    for c in (model.coords().min(), model.coords().max()):   # the widest 8.3f fields
         if len(f"{c:8.3f}") > 8:
             raise ValueError(
                 f"write_pdb: coordinate {c:.3f} A overflows the fixed-width "
                 "PDB format (range -999.999 to 9999.999)")
-    lines = []
-    serial = 0
-    prev = model.atoms[0]
-    for atom, (x, y, z) in zip(model.atoms, coords.tolist()):
-        problem = _field_width_error(atom)
+    lines = []      # the records so far; the next one's serial is len(lines) + 1
+    ter = None      # (residue name, chain, residue number) of the previous atom
+    for element, (x, y, z), chain_id, res_index, res_name, atom_name in zip(
+            *(c.tolist() for c in model._columns())):
+        problem = _field_width_error(chain_id, res_index, res_name, atom_name)
         if problem:
             raise ValueError(f"write_pdb: {problem} does not fit its fixed-width PDB column")
-        if atom.chain_id != prev.chain_id:
-            serial += 1
-            lines.append(_TER_RECORD % (serial, prev.res_name, prev.chain_id, prev.res_index))
-        serial += 1
-        name = atom.atom_name
-        if len(name) < 4 and len(atom.element) == 1:
-            name = " " + name
-        lines.append(_ATOM_RECORD % (serial, name, atom.res_name, atom.chain_id,
-                                     atom.res_index, x, y, z, atom.element))
-        prev = atom
-    serial += 1
-    if serial > 99999:
-        raise ValueError(f"write_pdb: {serial} records overflow the 5-digit PDB "
+        if ter and chain_id != ter[1]:
+            lines.append(_TER_RECORD % (len(lines) + 1, *ter))
+        if len(atom_name) < 4 and len(element) == 1:
+            atom_name = " " + atom_name
+        lines.append(_ATOM_RECORD % (len(lines) + 1, atom_name, res_name, chain_id,
+                                     res_index, x, y, z, element))
+        ter = (res_name, chain_id, res_index)
+    if len(lines) >= 99999:
+        raise ValueError(f"write_pdb: {len(lines) + 1} records overflow the 5-digit PDB "
                          "serial number (at most 99999, TER records included)")
-    lines.append(_TER_RECORD % (serial, prev.res_name, prev.chain_id, prev.res_index))
+    lines.append(_TER_RECORD % (len(lines) + 1, *ter))
     lines.append("END")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -223,14 +232,12 @@ def write_pdb(model: AtomicModel, path) -> None:
 
 def ca_subset(model: AtomicModel) -> AtomicModel:
     """Atoms named CA, original order preserved."""
-    return AtomicModel(tuple(a for a in model.atoms if a.atom_name == "CA"),
-                       provenance=model.provenance)
+    return model._take(model.atom_names == "CA")
 
 
 def residue_range_subset(model: AtomicModel, chain: str, lo: int, hi: int) -> AtomicModel:
     """Atoms on `chain` with lo <= res_index <= hi."""
     if lo > hi:
         raise ValueError(f"residue range lo {lo} > hi {hi}")
-    return AtomicModel(tuple(a for a in model.atoms
-                             if a.chain_id == chain and lo <= a.res_index <= hi),
-                       provenance=model.provenance)
+    res = model.res_indices
+    return model._take((model.chain_ids == chain) & (lo <= res) & (res <= hi))

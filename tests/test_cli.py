@@ -56,7 +56,14 @@ BAD_GUIDANCE = [(["schedule_kind=bogus"], "unknown schedule kind 'bogus'"),
                 (["lambda_global_start=-0.5"],
                  "lambda_global_start must be >= 0, got -0.5"),
                 (["lambda_global_end=-2"], "lambda_global_end must be >= 0, got -2.0"),
-                (["schedule_kind=custom", "t_warm=-1"], "t_warm must be >= 0")]
+                (["schedule_kind=custom", "t_warm=-1"], "t_warm must be >= 0"),
+                # transport, forward-model and seed settings, checked as early
+                (["reach=-5"], "reach must be >= 0 (0 = balanced), got -5.0"),
+                (["epsilon=0"], "epsilon must be positive, got 0.0"),
+                (["sinkhorn_max_iters=0"], "max_iters must be >= 1, got 0"),
+                (["seed=-1"], "seed must be >= 0, got -1"),
+                (["k_points=-3"], "k_points must be >= 0, got -3"),
+                (["resolution=0"], "resolution must be > 0, got 0.0")]
 
 BAD_RUN_SHAPES = [("n_samples=0", "n_samples must be >= 1, got 0"),
                   ("n_replicates=0", "n_replicates must be >= 1, got 0"),
@@ -372,17 +379,18 @@ class TestGuide:
                 os._exit(1)
             return seed
 
-        def tasks():
-            yield (None, None, "ctx", None, None, "crash")
-            # hold the next task back until the pool has seen its worker die
+        def seeds():
+            yield "crash"
+            # hold the next seed back until the pool has seen its worker die
             deadline = time.monotonic() + 30.0
             while not pools[0]._broken and time.monotonic() < deadline:
                 time.sleep(0.01)
-            yield (None, None, "ctx", None, None, "late")
+            yield "late"
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(pipeline, "sample_guided", crash_or_echo)
-        outs = list(pipeline._map_samples(tasks(), 2))
+        shared = (None, None, "ctx", None, None)
+        outs = list(pipeline._map_samples(shared, seeds(), 2))
         assert len(outs) == 2
         assert all(isinstance(o, RuntimeError) for o in outs)
         assert all(str(o).startswith("worker process died: ") for o in outs)
@@ -596,3 +604,8 @@ def test_readme_demo_config_parses(tmp_path):
     gsched = cfg.guidance_schedule()
     assert (gsched.t_warm, gsched.t_global, gsched.t_local, gsched.t_relax) == \
         (125, 25, 25, 25)
+
+
+@pytest.mark.parametrize("reach,balanced", [("0", True), ("inf", True), ("10", False)])
+def test_reach_zero_means_balanced(reach, balanced):
+    assert load_config(None, [f"reach={reach}"]).sinkhorn_config().balanced is balanced

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cryoguide.forward import grid_for_model, simulate_map
-from cryoguide.metrics import (EvalReport, evaluate, rank_samples,
+from cryoguide.metrics import (EvalReport, _rmsd, evaluate, rank_samples,
                                rank_samples_by_rmsd, rscc, tm_d0)
-from cryoguide.alignment import rotation_about
+from cryoguide.alignment import kabsch, rotation_about
 from cryoguide.structure import Atom, AtomicModel
 from cryoguide.volume import DensityMap
 
@@ -22,6 +22,61 @@ def ca_model(coords, chain="A", start=1):
 def rigid_move(model, degrees=30.0, shift=(10.0, -5.0, 2.0)):
     r = rotation_about(np.array([0.2, 1.0, -0.3]), degrees)
     return model.with_coords(model.coords() @ r.T + np.asarray(shift))
+
+
+def reference_evaluate(sample, reference, dmap=None, local_range=None, resolution=None):
+    """evaluate as it was, walking the Atom records; kept as the oracle of
+    the columnar one for models whose (chain, residue, atom name) keys are
+    unique.  `atoms` is built once per model, as it is built on each read."""
+    def key(atom):
+        return (atom.chain_id, atom.res_index, atom.atom_name)
+
+    sample_atoms, reference_atoms = sample.atoms, reference.atoms
+    ref_index = {}
+    for j, atom in enumerate(reference_atoms):
+        ref_index.setdefault(key(atom), j)
+    pairs = [(i, ref_index[key(atom)]) for i, atom in enumerate(sample_atoms)
+             if key(atom) in ref_index]
+    n_unpaired = (len(sample) - len(pairs)) + (len(reference) - len(pairs))
+    sam = sample.coords()
+    ref = reference.coords()
+    si = np.array([i for i, _ in pairs])
+    ri = np.array([j for _, j in pairs])
+    ca_mask = np.array([sample_atoms[i].atom_name == "CA" for i, _ in pairs])
+    transform, rmsd_ca = kabsch(sam[si][ca_mask], ref[ri][ca_mask])
+    moved = transform.apply(sam[si])
+    rmsd_all = _rmsd(moved, ref[ri])
+    n_res = sum(1 for a in reference_atoms if a.atom_name == "CA")
+    d0 = tm_d0(n_res)
+    d = np.sqrt(np.sum((moved[ca_mask] - ref[ri][ca_mask]) ** 2, axis=1))
+    tm = float(np.sum(1.0 / (1.0 + (d / d0) ** 2)) / n_res)
+    rmsd_local = None
+    if local_range is not None:
+        chain, lo, hi = local_range
+        in_range = np.array([reference_atoms[j].chain_id == chain
+                             and lo <= reference_atoms[j].res_index <= hi
+                             for _, j in pairs])
+        rmsd_local = _rmsd(moved[in_range], ref[ri][in_range])
+    rscc_val = None if dmap is None else rscc(sample, dmap, resolution)
+    return EvalReport(rmsd_all=rmsd_all, rmsd_ca=rmsd_ca, tm_score=tm,
+                      rmsd_local=rmsd_local, rscc=rscc_val,
+                      n_paired=len(pairs), n_unpaired=n_unpaired)
+
+
+def random_protein(rng, n_chains=3, n_residues=40):
+    """N/CA/C/O residues on several chains, numbered from a negative start,
+    with a two-letter metal every tenth residue."""
+    atoms = []
+    for c in range(n_chains):
+        start = int(rng.integers(-30, 5))
+        for i in range(n_residues):
+            kinds = [("N", "N"), ("C", "CA"), ("C", "C"), ("O", "O")]
+            if i % 10 == 3:
+                kinds.append(("ZN", "ZN") if c % 2 else ("FE", "FE"))
+            for element, name in kinds:
+                atoms.append(Atom(element, rng.uniform(-40, 40, 3), "ABCD"[c],
+                                  start + i, "ALA", name))
+    return AtomicModel(tuple(atoms))
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +150,12 @@ class TestEvaluate:
         rep = evaluate(AtomicModel(extra), reference100)
         assert rep.n_paired == 100
         assert rep.n_unpaired == 1
+        # a repeated key pairs only its first occurrence, on either side
+        five = ca_model(reference100.coords()[:5])
+        doubled = AtomicModel(five.atoms + five.atoms[2:3])
+        for sample, reference in ((doubled, five), (five, doubled)):
+            rep = evaluate(sample, reference)
+            assert (rep.n_paired, rep.n_unpaired) == (5, 1)
 
     def test_atom_name_mismatch_excluded(self):
         rng = np.random.default_rng(3)
@@ -131,6 +192,27 @@ class TestEvaluate:
     def test_local_range_empty_errors(self, reference100):
         with pytest.raises(ValueError, match="range"):
             evaluate(reference100, reference100, local_range=("A", 500, 600))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_evaluate(self, seed):
+        rng = np.random.default_rng(seed)
+        reference = random_protein(rng)
+        # the sample: reference atoms, moved and perturbed, some dropped, in
+        # shuffled order, plus atoms on a chain the reference lacks
+        keep = set(rng.permutation(len(reference))[: len(reference) - 25].tolist())
+        atoms = [a for i, a in enumerate(reference.atoms) if i in keep]
+        atoms = [atoms[i] for i in rng.permutation(len(atoms))]
+        atoms += [Atom("C", rng.uniform(-40, 40, 3), "Z", i, "GLY", "CA") for i in range(6)]
+        r = rotation_about(rng.normal(size=3), 50.0)
+        coords = np.array([a.pos for a in atoms]) @ r.T + rng.normal(0, 1.5, (len(atoms), 3))
+        sample = AtomicModel(atoms).with_coords(coords)
+        grid = grid_for_model(reference, voxel_size=3.0, pad=4.0)
+        dmap = simulate_map(reference, grid, 4.0)
+        for kwargs in ({}, dict(local_range=("B", -10, 12)),
+                       dict(dmap=dmap, resolution=4.0, local_range=("C", 0, 30))):
+            got = evaluate(sample, reference, **kwargs)
+            assert got == reference_evaluate(sample, reference, **kwargs)
+            assert got.n_unpaired == 25 + 6
 
     def test_rscc_uses_map_resolution_metadata(self, reference100):
         sub = ca_model(reference100.coords()[:10])

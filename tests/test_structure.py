@@ -1,11 +1,16 @@
 """Atomic model container and PDB I/O tests."""
 
+import ast
+import pickle
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cryoguide.structure import (ATOMIC_NUMBERS, Atom, AtomicModel,
-                                 PdbFormatError, ca_subset, read_pdb,
-                                 residue_range_subset, write_pdb)
+                                 PdbFormatError, _infer_element, ca_subset,
+                                 read_pdb, residue_range_subset, write_pdb)
 
 
 def atom_line(serial=1, name=" CA ", altloc=" ", res="GLY", chain="A",
@@ -41,6 +46,76 @@ def reference_write_pdb(model, path):
     lines.append("END")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def reference_read_pdb(path):
+    """read_pdb as it was, building one Atom per record; kept as the oracle
+    of the columnar reader.  Returns the tuple of Atoms."""
+    atoms = []
+    in_first_model = True
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            rec = line[:6]
+            if rec == "MODEL ":
+                continue
+            if rec == "ENDMDL":
+                in_first_model = False
+                continue
+            if not in_first_model or not rec.startswith("ATOM"):
+                continue
+            if len(line.rstrip("\n")) < 54:
+                raise PdbFormatError(f"line {lineno}: ATOM record too short")
+            if line[16] not in (" ", "A"):
+                continue
+            x, y, z = float(line[30:38]), float(line[38:46]), float(line[46:54])
+            occ_field = line[54:60].strip()
+            if (float(occ_field) if occ_field else 1.0) <= 0:
+                continue
+            element = line[76:78].strip().upper() if len(line) >= 78 else ""
+            if not element:
+                element = _infer_element(line[12:16])
+            if element in ("H", "D"):
+                continue
+            atoms.append(Atom(element, (x, y, z), line[21], int(line[22:26]),
+                              line[17:20].strip() or "UNK", line[12:16].strip()))
+    return tuple(atoms)
+
+
+def assert_same_atoms(model, atoms):
+    """`model` holds exactly `atoms`: coordinates bit for bit, fields equal."""
+    want = np.array([a.pos for a in atoms], dtype=np.float64).reshape(-1, 3)
+    assert model.coords().tobytes() == want.tobytes()
+    assert [(a.element, a.chain_id, a.res_index, a.res_name, a.atom_name)
+            for a in model.atoms] == \
+        [(a.element, a.chain_id, a.res_index, a.res_name, a.atom_name) for a in atoms]
+
+
+# (element columns, atom name field, residue name): one-letter elements,
+# two-letter ones written and inferred, and hydrogens the reader drops
+_RECORD_KINDS = [(" N", " N  ", "ALA"), (" C", " CA ", "ALA"), (" C", " C  ", "GLY"),
+                 (" O", " O  ", "GLY"), ("FE", "FE  ", "HEM"), ("  ", "ZN  ", "ZN"),
+                 ("  ", " CA ", "SER"), ("  ", " OG1", "THR"), (" S", " SG ", "CYS"),
+                 ("SE", "SE  ", "MSE"), (" H", " H  ", "ALA"), ("  ", "CA  ", " CA")]
+
+
+def random_pdb_lines(rng, n):
+    """ATOM records over chains A-C with negative residue numbers, altlocs,
+    zero and blank occupancies, hydrogens, and records the reader skips."""
+    lines = ["REMARK random model", "MODEL        1"]
+    for i in range(n):
+        element, name, res = _RECORD_KINDS[rng.integers(len(_RECORD_KINDS))]
+        x, y, z = rng.uniform(-999.0, 9999.0, 3) if i % 5 else rng.normal(0, 20, 3)
+        resseq = int(rng.integers(-999, 10000)) if i % 9 == 0 else i // 4 - 10
+        altloc = " AB"[rng.integers(3)] if i % 4 == 0 else " "
+        occ = ("  1.00", "  0.00", "      ", "  0.50")[rng.integers(4)]
+        lines.append(atom_line(serial=i + 1, name=name, altloc=altloc, res=res,
+                               chain="ABC"[i * 3 // n], resseq=resseq, x=x, y=y, z=z,
+                               occ=occ, element=element))
+        if i % 17 == 0:
+            lines.append(f"HETATM{i:5d}  O   HOH A 201      1.000   1.000   1.000"
+                         "  1.00  0.00           O")
+    lines += ["ENDMDL", "MODEL        2", atom_line(serial=1, x=9.0), "ENDMDL", "END"]
+    return lines
 
 
 def write_lines(tmp_path, lines, fname="m.pdb"):
@@ -165,6 +240,15 @@ class TestReadPdb:
         path = write_lines(tmp_path, ["REMARK empty"])
         with pytest.raises(PdbFormatError, match="no usable ATOM"):
             read_pdb(path)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_reader(self, tmp_path, seed):
+        path = write_lines(tmp_path, random_pdb_lines(np.random.default_rng(seed), 300))
+        model = read_pdb(path)
+        assert_same_atoms(model, reference_read_pdb(path))
+        assert model.provenance == str(path)
+        assert {"FE", "ZN", "SE", "CA"} <= set(model.elements.tolist())
+        assert model.res_indices.min() < 0 and len(set(model.chain_ids.tolist())) == 3
 
 
 class TestWritePdb:
@@ -309,6 +393,20 @@ class TestSubsets:
         with pytest.raises(ValueError, match="lo"):
             residue_range_subset(self._model(), "A", 3, 1)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masks_match_atom_filters(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        model = read_pdb(write_lines(tmp_path, random_pdb_lines(rng, 300)))
+        atoms = model.atoms
+        cas = ca_subset(model)
+        assert_same_atoms(cas, [a for a in atoms if a.atom_name == "CA"])
+        assert cas.provenance == model.provenance
+        for chain, lo, hi in (("B", -20, 40), ("A", -999, -5), ("C", 500, 9999),
+                              ("Z", 0, 10), ("A", 7, 7)):
+            sub = residue_range_subset(model, chain, lo, hi)
+            assert_same_atoms(sub, [a for a in atoms
+                                    if a.chain_id == chain and lo <= a.res_index <= hi])
+
 
 class TestAtomicModel:
     def test_with_coords_preserves_metadata(self):
@@ -333,7 +431,61 @@ class TestAtomicModel:
         coords[0, 0] = 9.0
         assert m2.atoms[0].pos.tolist() == [1.0, 2.0, 3.0]
 
+    def test_with_coords_shares_metadata_not_coords(self):
+        m = AtomicModel((Atom("N", (0, 0, 0), "A", 1, "ALA", "N"),
+                         Atom("FE", (1, 0, 0), "B", -3, "HEM", "FE")))
+        coords = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        m2 = m.with_coords(coords)
+        for name in ("elements", "chain_ids", "res_indices", "res_names", "atom_names"):
+            assert np.shares_memory(getattr(m2, name), getattr(m, name))
+        assert not np.shares_memory(m2.coords(), coords)
+        assert not np.shares_memory(m2.coords(), m.coords())
+
+    def test_columns_read_only_and_attributes_frozen(self):
+        m = AtomicModel((Atom("N", (0, 0, 0), "A", 1, "ALA", "N"),), provenance="x")
+        for column in (m.coords(), m.elements, m.chain_ids, m.res_indices,
+                       m.res_names, m.atom_names):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+        m.atoms[0].pos[0] = 5.0       # a record is a copy
+        assert m.coords()[0, 0] == 0.0
+        for name in ("provenance", "elements", "atoms", "_xyz", "anything"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, name, None)
+        with pytest.raises(FrozenInstanceError):
+            del m.elements
+        assert m.provenance == "x" and m.elements.tolist() == ["N"]
+
+    def test_non_integer_residue_number_rejected(self):
+        with pytest.raises(ValueError, match="residue number 2.0 is not an integer"):
+            AtomicModel((Atom("C", (0, 0, 0), res_index=2.0),))
+
+    def test_pickle_round_trip(self, tmp_path):
+        m = read_pdb(write_lines(tmp_path, random_pdb_lines(np.random.default_rng(5), 60)))
+        back = pickle.loads(pickle.dumps(m))
+        assert_same_atoms(back, m.atoms)
+        assert back.provenance == m.provenance
+        assert not back.coords().flags.writeable and not back.atom_names.flags.writeable
+        assert back.res_indices.dtype == np.int64
+
+    def test_empty_model(self):
+        m = AtomicModel(())
+        assert len(m) == 0 and m.atoms == () and m.coords().shape == (0, 3)
+        assert m.atomic_numbers().shape == (0,)
+
     def test_atomic_numbers(self):
         atoms = (Atom("C", (0, 0, 0)), Atom("O", (1, 0, 0)), Atom("FE", (2, 0, 0)))
         np.testing.assert_array_equal(AtomicModel(atoms).atomic_numbers(),
                                       [6, 8, 26])
+
+
+def test_only_structure_reads_atoms():
+    """Every module but structure.py works on the model's columns: no other
+    reads `.atoms`, the per-atom records."""
+    package = Path(__file__).resolve().parents[1] / "src" / "cryoguide"
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py") if path.name != "structure.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "atoms")
+    assert readers == []
