@@ -23,6 +23,13 @@ from .volume import (MapFormatError, crop_pad, dust, mask_near_model, read_mrc,
 log = logging.getLogger(__name__)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0 and np.isfinite(value)):
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prep", help="threshold / dust / crop / mask a map")
     p.add_argument("map", help="input MRC")
     p.add_argument("-o", "--out", required=True, help="output MRC")
-    p.add_argument("--level", type=float, default=None,
+    p.add_argument("--level", type=_finite_float, default=None,
                    help="threshold level (values below become 0)")
     p.add_argument("--min-size", type=int, default=1,
                    help="remove connected components smaller than this")

@@ -33,13 +33,27 @@ def tm_d0(n_residues: int) -> float:
     return max(0.5, 1.24 * (n_residues - 15) ** (1.0 / 3.0) - 1.8)
 
 
-def _first_index(model: AtomicModel) -> dict:
-    """(chain, residue number, atom name) -> index of the first atom with that key."""
-    first = {}
-    for i, key in enumerate(zip(model.chain_ids.tolist(), model.res_indices.tolist(),
-                                model.atom_names.tolist())):
-        first.setdefault(key, i)
-    return first
+def _pair_atoms(sample: AtomicModel, reference: AtomicModel) -> tuple[np.ndarray, np.ndarray]:
+    """(sample, reference) indices of the atoms with the same (chain, residue
+    number, atom name) key, in sample order; a key repeated on either side
+    pairs its first atom only."""
+    n = len(sample)
+    keys = [np.concatenate([getattr(sample, name), getattr(reference, name)])
+            for name in ("atom_names", "res_indices", "chain_ids")]
+    # a stable sort by key puts each key's atoms in index order: the
+    # sample's (indices below n) first, then the reference's
+    order = np.lexsort(keys)
+    differs = np.zeros(max(len(order) - 1, 0), dtype=bool)
+    for key in keys:
+        ranked = key[order]
+        differs |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], differs)))[:len(order)]
+    n_sample = np.add.reduceat((order < n).astype(np.intp), starts)
+    paired = (n_sample > 0) & (n_sample < np.diff(starts, append=len(order)))
+    si = order[starts[paired]]
+    ri = order[starts[paired] + n_sample[paired]] - n
+    in_sample_order = np.argsort(si)
+    return si[in_sample_order], ri[in_sample_order]
 
 
 def _rmsd(a: np.ndarray, b: np.ndarray) -> float:
@@ -57,14 +71,10 @@ def evaluate(sample: AtomicModel, reference: AtomicModel,
     sample is already in the map frame, so realigning it to the reference
     would break its registration.
     """
-    # (sample, reference) indices of atoms with the same key, in sample
-    # order; a key repeated on either side pairs its first atom only
-    ref_index = _first_index(reference)
-    pairs = [(i, ref_index[key]) for key, i in _first_index(sample).items() if key in ref_index]
-    n_unpaired = (len(sample) - len(pairs)) + (len(reference) - len(pairs))
-    if not pairs:
+    si, ri = _pair_atoms(sample, reference)
+    n_paired = len(si)
+    if not n_paired:
         raise ValueError("no atoms could be paired between sample and reference")
-    si, ri = np.array(pairs).T
     sam = sample.coords()[si]
     ref = reference.coords()[ri]
     ca_mask = sample.atom_names[si] == "CA"
@@ -99,7 +109,8 @@ def evaluate(sample: AtomicModel, reference: AtomicModel,
 
     return EvalReport(rmsd_all=rmsd_all, rmsd_ca=rmsd_ca, tm_score=tm,
                       rmsd_local=rmsd_local, rscc=rscc_val,
-                      n_paired=len(pairs), n_unpaired=n_unpaired)
+                      n_paired=n_paired,
+                      n_unpaired=len(sample) + len(reference) - 2 * n_paired)
 
 
 def rscc(model: AtomicModel, dmap: DensityMap, resolution: float) -> float:

@@ -161,6 +161,8 @@ def write_mrc(dmap: DensityMap, path) -> None:
 
 def threshold(dmap: DensityMap, level: float) -> DensityMap:
     """Zero all voxels with value below `level`."""
+    if not np.isfinite(level):
+        raise ValueError(f"threshold: level must be finite, got {level}")
     return replace(dmap, data=np.where(dmap.data < level, 0.0, dmap.data))
 
 

@@ -221,6 +221,15 @@ class TestPrep:
         assert "must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+    def test_non_finite_level_rejected_by_parser(self, workdir, tmp_path, capsys, level):
+        out = tmp_path / "prep.mrc"
+        with pytest.raises(SystemExit) as exc:
+            main(["prep", str(workdir / "chain.mrc"), "-o", str(out), f"--level={level}"])
+        assert exc.value.code == 2
+        assert f"must be finite, got {level}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_crop_pad_rejected_by_parser(self, workdir, tmp_path, capsys):
         out = tmp_path / "prep.mrc"
         with pytest.raises(SystemExit) as exc:

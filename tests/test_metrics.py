@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cryoguide.forward import grid_for_model, simulate_map
-from cryoguide.metrics import (EvalReport, _rmsd, evaluate, rank_samples,
+from cryoguide.metrics import (EvalReport, _pair_atoms, _rmsd, evaluate, rank_samples,
                                rank_samples_by_rmsd, rscc, tm_d0)
 from cryoguide.alignment import kabsch, rotation_about
 from cryoguide.structure import Atom, AtomicModel
@@ -61,6 +61,22 @@ def reference_evaluate(sample, reference, dmap=None, local_range=None, resolutio
     return EvalReport(rmsd_all=rmsd_all, rmsd_ca=rmsd_ca, tm_score=tm,
                       rmsd_local=rmsd_local, rscc=rscc_val,
                       n_paired=len(pairs), n_unpaired=n_unpaired)
+
+
+def reference_pairs(sample, reference):
+    """evaluate's atom pairing as it was: a dict from each (chain, residue
+    number, atom name) key to its first atom on each side, walked in the
+    sample's order.  Returns the (sample, reference) index arrays."""
+    def first_index(model):
+        first = {}
+        for i, key in enumerate(zip(model.chain_ids.tolist(), model.res_indices.tolist(),
+                                    model.atom_names.tolist())):
+            first.setdefault(key, i)
+        return first
+
+    ref_index = first_index(reference)
+    pairs = [(i, ref_index[key]) for key, i in first_index(sample).items() if key in ref_index]
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2).T
 
 
 def random_protein(rng, n_chains=3, n_residues=40):
@@ -213,6 +229,40 @@ class TestEvaluate:
             got = evaluate(sample, reference, **kwargs)
             assert got == reference_evaluate(sample, reference, **kwargs)
             assert got.n_unpaired == 25 + 6
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pairing_matches_reference_pairs(self, seed):
+        """Both sides draw atoms from one pool of keys, with repeats, so that
+        keys repeat on either side and some atoms have no partner."""
+        rng = np.random.default_rng(seed)
+        pool = random_protein(rng, n_chains=3, n_residues=12)
+        sides = []
+        for _ in range(2):
+            picks = rng.integers(len(pool), size=int(rng.integers(0, 2 * len(pool))))
+            # or up to three atoms on keys the pool may lack
+            extra = AtomicModel([Atom("C", (0, 0, 0), "Q", 7, "GLY", "CA"),
+                                 Atom("C", (0, 0, 0), "A", 999, "GLY", "CA"),
+                                 Atom("C", (0, 0, 0), "A", 1, "GLY", "CB")][:rng.integers(4)])
+            sides.append(pool._take(picks) if rng.random() < 0.8 else extra)
+        sample, reference = sides
+        si, ri = _pair_atoms(sample, reference)
+        want_si, want_ri = reference_pairs(sample, reference)
+        assert si.dtype == want_si.dtype and ri.dtype == want_ri.dtype
+        np.testing.assert_array_equal(si, want_si)
+        np.testing.assert_array_equal(ri, want_ri)
+        if np.count_nonzero(sample.atom_names[si] == "CA") >= 3:
+            rep = evaluate(sample, reference)
+            assert rep.n_paired == len(want_si)
+            assert rep.n_unpaired == len(sample) + len(reference) - 2 * len(want_si)
+
+    def test_pairing_of_repeated_keys(self):
+        # keys: a, b, a, c in the sample; c, a, a, d in the reference
+        def model(keys):
+            return AtomicModel([Atom("C", (0, 0, 0), chain, res, "GLY", "CA")
+                                for chain, res in keys])
+        a, b, c, d = ("A", 1), ("A", 2), ("B", 1), ("B", 2)
+        si, ri = _pair_atoms(model([a, b, a, c]), model([c, a, a, d]))
+        assert si.tolist() == [0, 3] and ri.tolist() == [1, 0]
 
     def test_rscc_uses_map_resolution_metadata(self, reference100):
         sub = ca_model(reference100.coords()[:10])

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryoguide.structure import (ATOMIC_NUMBERS, Atom, AtomicModel,
                                  PdbFormatError, _infer_element, ca_subset,
@@ -48,37 +50,83 @@ def reference_write_pdb(model, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def reference_width_error(model):
+    """write_pdb's field check as it was, one atom at a time: the message
+    for the first atom with a field too wide for its column, or None."""
+    for atom in model.atoms:
+        if not -999 <= atom.res_index <= 9999:
+            problem = f"residue number {atom.res_index!r} (an integer from -999 to 9999)"
+        elif len(atom.atom_name) > 4:
+            problem = f"atom name {atom.atom_name!r} (at most 4 characters)"
+        elif len(atom.res_name) > 3:
+            problem = f"residue name {atom.res_name!r} (at most 3 characters)"
+        elif len(atom.chain_id) != 1:
+            problem = f"chain ID {atom.chain_id!r} (exactly 1 character)"
+        else:
+            continue
+        return f"write_pdb: {problem} does not fit its fixed-width PDB column"
+    return None
+
+
 def reference_read_pdb(path):
-    """read_pdb as it was, building one Atom per record; kept as the oracle
-    of the columnar reader.  Returns the tuple of Atoms."""
-    atoms = []
-    in_first_model = True
+    """read_pdb as it was, one line at a time, kept as the oracle of the
+    columnar reader: the same model, or the same PdbFormatError.  The one
+    change: a bad occupancy field raised a bare ValueError then, and raises
+    the reader's numbered message now."""
+    rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            rec = line[:6]
-            if rec == "MODEL ":
-                continue
-            if rec == "ENDMDL":
-                in_first_model = False
-                continue
-            if not in_first_model or not rec.startswith("ATOM"):
+            if line.startswith("ENDMDL"):
+                break
+            if not line.startswith("ATOM"):
                 continue
             if len(line.rstrip("\n")) < 54:
                 raise PdbFormatError(f"line {lineno}: ATOM record too short")
             if line[16] not in (" ", "A"):
                 continue
-            x, y, z = float(line[30:38]), float(line[38:46]), float(line[46:54])
+            try:
+                xyz = float(line[30:38]), float(line[38:46]), float(line[46:54])
+            except ValueError as exc:
+                raise PdbFormatError(f"line {lineno}: bad coordinate field: {exc}") from exc
             occ_field = line[54:60].strip()
-            if (float(occ_field) if occ_field else 1.0) <= 0:
-                continue
+            try:
+                if occ_field and float(occ_field) <= 0:
+                    continue
+            except ValueError as exc:
+                raise PdbFormatError(f"line {lineno}: bad occupancy field: {exc}") from exc
             element = line[76:78].strip().upper() if len(line) >= 78 else ""
             if not element:
                 element = _infer_element(line[12:16])
             if element in ("H", "D"):
                 continue
-            atoms.append(Atom(element, (x, y, z), line[21], int(line[22:26]),
-                              line[17:20].strip() or "UNK", line[12:16].strip()))
-    return tuple(atoms)
+            if element not in ATOMIC_NUMBERS:
+                raise PdbFormatError(f"line {lineno}: unrecognized element {element!r}")
+            try:
+                res_index = int(line[22:26])
+            except ValueError as exc:
+                raise PdbFormatError(f"line {lineno}: bad residue number: {exc}") from exc
+            rows.append((element, xyz, line[21], res_index,
+                         line[17:20].strip() or "UNK", line[12:16].strip()))
+            linenos.append(lineno)
+    if not rows:
+        raise PdbFormatError(f"{path}: no usable ATOM records")
+    model = AtomicModel._from_columns(*zip(*rows), str(path))
+    finite = np.isfinite(model.coords()).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise PdbFormatError(f"line {linenos[row]}: non-finite coordinate "
+                             f"{model.coords()[row]}")
+    return model
+
+
+def read_outcome(reader, path):
+    """What `reader` makes of a file: its columns (values and dtypes) and
+    provenance, or the PdbFormatError's message."""
+    try:
+        model = reader(path)
+    except PdbFormatError as exc:
+        return str(exc)
+    return [(c.dtype.str, c.tobytes()) for c in model._columns()] + [model.provenance]
 
 
 def assert_same_atoms(model, atoms):
@@ -245,11 +293,126 @@ class TestReadPdb:
     def test_matches_reference_reader(self, tmp_path, seed):
         path = write_lines(tmp_path, random_pdb_lines(np.random.default_rng(seed), 300))
         model = read_pdb(path)
-        assert_same_atoms(model, reference_read_pdb(path))
+        assert read_outcome(read_pdb, path) == read_outcome(reference_read_pdb, path)
         assert model.provenance == str(path)
         assert {"FE", "ZN", "SE", "CA"} <= set(model.elements.tolist())
         assert model.res_indices.min() < 0 and len(set(model.chain_ids.tolist())) == 3
 
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_edge_records_match_reference_reader(self, tmp_path, seed, newline):
+        """Line endings, a last line with and without its newline, 76- to
+        78-character records (the element columns count when the record,
+        newline included, reaches column 78), blank chains and tabs."""
+        rng = np.random.default_rng(seed)
+        lines = random_pdb_lines(rng, 60)[:-4]          # no second model
+        for i in range(40):
+            line = atom_line(serial=100 + i, resseq=i,
+                             name=("FE  ", "\tCA ", " C\t ", "CA  ", " N  ")[i % 5],
+                             chain=" AB"[rng.integers(3)],
+                             element=("FE", " C", "  ", "NA", " N")[rng.integers(5)])
+            lines.insert(int(rng.integers(len(lines) + 1)), line[:(76, 77, 78, 80)[i % 4]])
+        lines[-1] = lines[-1][:77]
+        for end in ("", newline):
+            path = tmp_path / f"edge{len(end)}.pdb"
+            path.write_bytes((newline.join(lines) + end).encode())
+            got = read_outcome(read_pdb, path)
+            assert not isinstance(got, str), got
+            assert got == read_outcome(reference_read_pdb, path)
+
+    def test_element_columns_count_from_column_78_newline_included(self, tmp_path):
+        # column 77 holds "F" of "FE": with a newline the record reaches
+        # column 78 and reads fluorine; as a last line without one, the
+        # element is inferred from the name, iron
+        line = atom_line(name="FE  ", element="FE")[:77]
+        path = tmp_path / "cut.pdb"
+        for end, element in (("\n", "F"), ("", "FE")):
+            path.write_text(line + end)
+            assert read_pdb(path).elements.tolist() == [element]
+
+    # one bad record as line 2 of three, and the message the reader gave
+    # for it before it read fields column-wise (a bad occupancy field had no
+    # line number then)
+    _BAD_RECORDS = [
+        ("ATOM      2  CA  GLY A   2       1.000",
+         "line 2: ATOM record too short"),
+        (atom_line(serial=2, resseq=2).replace("   1.000", "  1.0.00", 1),
+         "line 2: bad coordinate field: could not convert string to float: '  1.0.00'"),
+        (atom_line(serial=2, resseq=2, occ="  x.00"),
+         "line 2: bad occupancy field: could not convert string to float: 'x.00'"),
+        (atom_line(serial=2, resseq=2).replace("A   2", "A  x2", 1),
+         "line 2: bad residue number: invalid literal for int() with base 10: '  x2'"),
+        (atom_line(serial=2, resseq=2, element="XX"),
+         "line 2: unrecognized element 'XX'"),
+        (atom_line(serial=2, resseq=2, name=" 12 ", element="  "),
+         "cannot infer element from atom name ' 12 '"),
+        (atom_line(serial=2, resseq=2).replace("   2.000", "     nan", 1),
+         "line 2: non-finite coordinate [ 1. nan  3.]"),
+    ]
+
+    @pytest.mark.parametrize("bad,message", _BAD_RECORDS, ids=[
+        "short", "coordinate", "occupancy", "residue-number", "unknown-element",
+        "uninferable-element", "non-finite"])
+    def test_error_messages(self, tmp_path, bad, message):
+        path = write_lines(tmp_path, [atom_line(serial=1), bad, atom_line(serial=3, resseq=3)])
+        with pytest.raises(PdbFormatError) as exc:
+            read_pdb(path)
+        assert str(exc.value) == message == read_outcome(reference_read_pdb, path)
+
+    def test_first_failing_record_wins(self, tmp_path):
+        """Checks run column-wise, but the error is the first failing
+        record's, whichever check fails it."""
+        late_check = atom_line(serial=2, resseq=2).replace("A   2", "A  x2", 1)
+        early_check = "ATOM      3  CA  GLY A   3       1.000"
+        non_finite = atom_line(serial=2, resseq=2).replace("   2.000", "     inf", 1)
+        skipped = [atom_line(serial=5, altloc="B").replace("   1.000", "  1.0.00", 1),
+                   atom_line(serial=6, element=" H").replace("A   1", "A  x1", 1),
+                   atom_line(serial=7, occ="  0.00", element="XX")]
+        for lines, message in (
+                ([atom_line(serial=1), late_check, early_check],
+                 "line 2: bad residue number: invalid literal for int() with base 10: '  x2'"),
+                ([atom_line(serial=1), non_finite, late_check.replace(" 2 ", " 3 ")],
+                 "line 3: bad residue number: invalid literal for int() with base 10: '  x2'"),
+                ([atom_line(serial=1), *skipped, non_finite],
+                 "line 5: non-finite coordinate [ 1. inf  3.]")):
+            path = write_lines(tmp_path, lines)
+            with pytest.raises(PdbFormatError) as exc:
+                read_pdb(path)
+            assert str(exc.value) == message == read_outcome(reference_read_pdb, path)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_errors_match_reference_reader(self, tmp_path, seed):
+        rng = np.random.default_rng(100 + seed)
+        lines = random_pdb_lines(rng, 40)
+        for _ in range(3):
+            bad, _ = self._BAD_RECORDS[rng.integers(len(self._BAD_RECORDS))]
+            lines.insert(int(rng.integers(2, len(lines) - 4)), bad)
+        path = write_lines(tmp_path, lines)
+        assert read_outcome(read_pdb, path) == read_outcome(reference_read_pdb, path)
+
+    def test_blocks_of_records_match_reference_reader(self, tmp_path):
+        """A file longer than one parse block: the columns, the widest
+        element column (iron in the last block only) and the line of the
+        first bad record are the file's, whichever block they fall in."""
+        lines = random_pdb_lines(np.random.default_rng(21), 3000)
+        lines = [line.replace(" FE  HEM", " CA  HEM") for line in lines]
+        lines.insert(2800, atom_line(serial=9999, name="FE  ", res="HEM", element="FE"))
+        path = write_lines(tmp_path, lines)
+        got = read_outcome(read_pdb, path)
+        assert got == read_outcome(reference_read_pdb, path)
+        assert got[0][0] == "<U2"
+        late = atom_line(serial=2, resseq=2).replace("A   2", "A  x2", 1)
+        for at, bad in ((1500, late), (2500, "ATOM      3  CA  GLY A   3       1.000")):
+            lines.insert(at, bad)
+            path = write_lines(tmp_path, lines)
+            assert read_outcome(read_pdb, path) == read_outcome(reference_read_pdb, path)
+        assert read_outcome(read_pdb, path).startswith("line 1501: bad residue number")
+
+    def test_nan_occupancy_kept(self, tmp_path):
+        path = write_lines(tmp_path, [atom_line(serial=1, occ="   nan"),
+                                      atom_line(serial=2, resseq=2, occ=" -0.00")])
+        assert read_pdb(path).res_indices.tolist() == [1]
 
 class TestWritePdb:
     def test_round_trip_coordinates_to_milliangstrom(self, tmp_path):
@@ -333,6 +496,47 @@ class TestWritePdb:
             write_pdb(AtomicModel(atoms), path)
         assert not path.exists()
 
+    def test_first_offending_atom_named(self, tmp_path):
+        # atom 1 has a wide chain ID, atom 2 a wide name and residue number:
+        # atom 1 is named, and for atom 2 the residue number comes first
+        atoms = [Atom("C", (0, 0, 0), "A", 1), Atom("C", (1, 0, 0), "AB", 2),
+                 Atom("C", (2, 0, 0), "A", 10000, "GLY", "CA123")]
+        path = tmp_path / "wide.pdb"
+        for model, message in (
+                (AtomicModel(atoms), "write_pdb: chain ID 'AB' (exactly 1 character) "
+                                     "does not fit its fixed-width PDB column"),
+                (AtomicModel(atoms[2:]), "write_pdb: residue number 10000 (an integer from "
+                                         "-999 to 9999) does not fit its fixed-width PDB column")):
+            with pytest.raises(ValueError) as exc:
+                write_pdb(model, path)
+            assert str(exc.value) == message == reference_width_error(model)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_field_messages_match_reference_check(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        wide = [dict(res_index=12345), dict(res_index=-1000), dict(atom_name="CA123"),
+                dict(res_name="GLYX"), dict(chain_id="AB"), dict(chain_id="")]
+        atoms = []
+        for i in range(50):
+            fields = dict(chain_id="AB"[i // 25], res_index=i, res_name="ALA", atom_name="CA")
+            if rng.random() < 0.1:
+                fields.update(wide[rng.integers(len(wide))])
+            if rng.random() < 0.05:
+                fields.update(wide[rng.integers(len(wide))])
+            atoms.append(Atom("C", rng.uniform(-20, 20, 3), **fields))
+        model = AtomicModel(atoms)
+        message = reference_width_error(model)
+        path = tmp_path / "m.pdb"
+        if message is None:
+            write_pdb(model, path)
+            reference_write_pdb(model, tmp_path / "ref.pdb")
+            assert path.read_bytes() == (tmp_path / "ref.pdb").read_bytes()
+        else:
+            with pytest.raises(ValueError) as exc:
+                write_pdb(model, path)
+            assert str(exc.value) == message
+
     def test_field_limits_written(self, tmp_path):
         atoms = (Atom("C", (0, 0, 0), "A", -999, "GLY", "CA"),
                  Atom("C", (1, 0, 0), "A", 9999, "GLY", "CA"))
@@ -372,6 +576,27 @@ class TestWritePdb:
         assert got == (tmp_path / "ref.pdb").read_bytes()
         assert b"  -0.000  -0.000" in got and b" HG21 THR" in got
 
+
+_NAME = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789'", min_size=1, max_size=4)
+_ATOMS = st.lists(st.tuples(
+    st.sampled_from(sorted(set(ATOMIC_NUMBERS) - {"H"})),
+    st.tuples(*[st.floats(-999.0, 9999.0)] * 3),
+    st.sampled_from("ABCZ"), st.integers(-999, 9999),
+    st.text("ACDEGHIKLMNPQRSTVWY", min_size=1, max_size=3), _NAME), min_size=1, max_size=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ATOMS)
+def test_write_read_round_trip(tmp_path_factory, records):
+    """write_pdb then read_pdb gives the model back: every column equal, and
+    the coordinates to the 3 decimals that the format keeps."""
+    model = AtomicModel([Atom(*r) for r in records])
+    path = tmp_path_factory.mktemp("round") / "m.pdb"
+    write_pdb(model, path)
+    back = read_pdb(path)
+    for name in ("elements", "chain_ids", "res_indices", "res_names", "atom_names"):
+        assert getattr(back, name).tolist() == getattr(model, name).tolist()
+    np.testing.assert_allclose(back.coords(), model.coords(), rtol=0, atol=5e-4 + 1e-9)
 
 class TestSubsets:
     def _model(self):
@@ -477,6 +702,13 @@ class TestAtomicModel:
         atoms = (Atom("C", (0, 0, 0)), Atom("O", (1, 0, 0)), Atom("FE", (2, 0, 0)))
         np.testing.assert_array_equal(AtomicModel(atoms).atomic_numbers(),
                                       [6, 8, 26])
+
+    def test_atomic_numbers_match_lookup_per_atom(self, tmp_path):
+        model = read_pdb(write_lines(tmp_path, random_pdb_lines(np.random.default_rng(9), 200)))
+        got = model.atomic_numbers()
+        want = np.array([ATOMIC_NUMBERS[e] for e in model.elements.tolist()], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (len(model),)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_only_structure_reads_atoms():

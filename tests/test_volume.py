@@ -215,6 +215,12 @@ class TestThreshold:
         np.testing.assert_array_equal(m1.data, m2.data)
 
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_rejected(self, rng, level):
+        dmap = DensityMap(data=rng.standard_normal((4, 4, 4)), voxel_size=1.0)
+        with pytest.raises(ValueError, match="level must be finite"):
+            threshold(dmap, level)
+
 class TestDust:
     def test_small_component_removed(self):
         data = np.zeros((8, 8, 8))
