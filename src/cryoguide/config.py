@@ -87,8 +87,9 @@ class RunConfig:
 
     def sinkhorn_config(self) -> SinkhornConfig:
         """Transport settings; reach = 0 means balanced transport.  A negative
-        reach, a non-positive epsilon or sinkhorn_max_iters below 1 is a
-        ConfigError."""
+        reach, a non-positive or infinite epsilon, sinkhorn_max_iters below 1,
+        or a negative or infinite sinkhorn_tol is a ConfigError that names
+        the key."""
         if self.reach < 0:
             raise ConfigError(f"reach must be >= 0 (0 = balanced), got {self.reach}")
         try:
@@ -96,7 +97,10 @@ class RunConfig:
                                   max_iters=self.sinkhorn_max_iters,
                                   tol=self.sinkhorn_tol)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            message = str(exc)
+            if message.startswith(("max_iters ", "tol ")):
+                message = "sinkhorn_" + message
+            raise ConfigError(message) from None
 
 
 class ConfigError(ValueError):

@@ -2,16 +2,16 @@
 
 Produces `<outdir>/rep<k>/sample<j>.pdb`, a tab-separated manifest with one
 row per sample, and a per-replicate best-of-N summary.  Per-sample RNG
-streams are derived from (seed, replicate, sample), so serial and parallel
-executions emit identical files.
+streams are derived from (seed, replicate, sample), so a config and its
+seed reproduce the same files.  Samples are drawn one after another in this
+process.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .alignment import dock_to_map
 from .config import ConfigError, RunConfig
 from .metrics import evaluate, rscc
-from .pointcloud import cluster_count, extract_pointcloud
+from .pointcloud import PointCloud, cluster_count, extract_pointcloud
 from .priors import chain_template, single_mode_chain_prior, two_mode_chain_prior
 from .forward import BlurOperator
 from .sampler import GuidanceContext, SampleStats, sample_guided, sample_unguided
@@ -27,9 +27,6 @@ from .structure import read_pdb, write_pdb
 from .volume import DensityMap, read_mrc
 
 log = logging.getLogger(__name__)
-
-WORKERS_ENV = "CRYOGUIDE_WORKERS"
-
 
 @dataclass
 class SampleRecord:
@@ -42,20 +39,10 @@ class SampleRecord:
     rmsd: float | None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {n}")
-    return n
-
-
 def _check_run_shape(cfg: RunConfig) -> None:
     """Reject a run shape that makes no samples, a negative seed or cloud
-    size, or a non-positive resolution, before any file is written."""
+    size, or a non-positive or infinite resolution, before any file is
+    written."""
     for key, least in (("n_samples", 1), ("n_replicates", 1), ("dock_rotations", 0),
                        ("seed", 0), ("k_points", 0)):
         value = getattr(cfg, key)
@@ -63,6 +50,8 @@ def _check_run_shape(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be >= {least}, got {value}")
     if not cfg.resolution > 0:
         raise ConfigError(f"resolution must be > 0, got {cfg.resolution}")
+    if math.isinf(cfg.resolution):
+        raise ConfigError(f"resolution must be finite, got {cfg.resolution}")
 
 
 def _sample_seed(cfg_seed: int, rep: int, j: int) -> np.random.SeedSequence:
@@ -86,15 +75,14 @@ def _prior_and_template(cfg: RunConfig):
     return prior, template
 
 
-def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int
-                  ) -> GuidanceContext:
-    """Assemble the guidance inputs for one replicate: point cloud, blur, and —
-    when registration is on — an unguided reference docked into the map.
+def build_context(cfg: RunConfig, dmap: DensityMap, cloud: PointCloud, prior,
+                  rep: int) -> GuidanceContext:
+    """Assemble the guidance inputs for one replicate: the run's point cloud,
+    blur, and — when registration is on — an unguided reference docked into
+    the map.
 
     The reference draws from the RNG stream one past the sample indices.
     """
-    k = cfg.k_points or cluster_count(prior.n_atoms, dmap.voxel_size)
-    cloud = extract_pointcloud(dmap, k, seed=cfg.seed)
     blur = BlurOperator(sigma_b=cfg.blur_sigma)
     reference = None
     if cfg.register:
@@ -111,69 +99,6 @@ def build_context(cfg: RunConfig, dmap: DensityMap, prior, rep: int
                            resolution=cfg.resolution,
                            sinkhorn=cfg.sinkhorn_config(), blur=blur,
                            reference=reference)
-
-
-# (prior, template, ctx, schedule, gsched) of the replicate being sampled: set
-# once per replicate in this process, or once per worker by the pool initializer
-_shared = None
-
-
-def _hold(shared) -> None:
-    global _shared
-    _shared = shared
-
-
-def _run_one(seed):
-    """One sample and its `SampleStats`, guided unless the replicate has no
-    guidance context (then the stats are None); any failure is returned, not
-    raised, so that it fails this sample alone and the serial and the pooled
-    map record it the same way."""
-    prior, template, ctx, schedule, gsched = _shared
-    try:
-        if ctx is None:
-            return template.with_coords(sample_unguided(prior, schedule, seed)), None
-        return sample_guided(prior, ctx, schedule, gsched, template, seed)
-    except Exception as exc:
-        # the traceback does not survive the trip back from a worker process
-        log.debug("sample failed", exc_info=True)
-        return exc
-
-
-def _submit(pool: ProcessPoolExecutor, seed) -> Future:
-    """Submit one sample; a pool already broken gives a future holding that error."""
-    try:
-        return pool.submit(_run_one, seed)
-    except BrokenProcessPool as exc:
-        failed = Future()
-        failed.set_exception(exc)
-        return failed
-
-
-def _map_samples(shared, seeds, workers: int):
-    """Each seed's result or failure, in seed order, from `workers` processes.
-
-    `shared` is one replicate's (prior, template, ctx, schedule, gsched).  It
-    is handed over once, to this process or to each worker as the pool starts
-    it; a task then sends only its seed.  One pool serves one replicate.  If
-    a worker process dies, every task the pool has not finished yields a
-    RuntimeError in place of its result, and the next replicate starts a
-    fresh pool.
-    """
-    if workers == 1:
-        _hold(shared)
-        try:
-            yield from map(_run_one, seeds)
-        finally:
-            _hold(None)
-        return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_hold,
-                             initargs=(shared,)) as pool:
-        futures = [_submit(pool, seed) for seed in seeds]
-        for fut in futures:
-            try:
-                yield fut.result()
-            except BrokenProcessPool as exc:
-                yield RuntimeError(f"worker process died: {exc}")
 
 
 def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
@@ -199,24 +124,31 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
         raise ConfigError(f"guidance stages sum to {gsched.n_steps}, "
                           f"n_steps = {schedule.n_steps}")
 
+    cloud = None
+    if guided:   # one cloud serves every replicate
+        k = cfg.k_points or cluster_count(prior.n_atoms, dmap.voxel_size)
+        cloud = extract_pointcloud(dmap, k, seed=cfg.seed)
+
     os.makedirs(cfg.outdir, exist_ok=True)
     records: list[SampleRecord] = []
-    workers = _worker_count()
-
     for rep in range(cfg.n_replicates):
         rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
         os.makedirs(rep_dir, exist_ok=True)
-        ctx = build_context(cfg, dmap, prior, rep) if guided else None
-        seeds = (_sample_seed(cfg.seed, rep, j) for j in range(cfg.n_samples))
-        for j, out in enumerate(_map_samples((prior, template, ctx, schedule, gsched),
-                                             seeds, workers)):
-            seed_key = f"{cfg.seed}:{rep}:{j}"
-            if isinstance(out, Exception):
-                log.warning("rep %d sample %d failed: %s", rep, j, out)
-                records.append(SampleRecord(rep, j, seed_key, "", str(out),
+        ctx = build_context(cfg, dmap, cloud, prior, rep) if guided else None
+        for j in range(cfg.n_samples):
+            seed, seed_key = _sample_seed(cfg.seed, rep, j), f"{cfg.seed}:{rep}:{j}"
+            try:
+                if guided:
+                    model, stats = sample_guided(prior, ctx, schedule, gsched, template, seed)
+                else:
+                    model = template.with_coords(sample_unguided(prior, schedule, seed))
+                    stats = None
+            except Exception as exc:    # fails this sample alone
+                log.warning("rep %d sample %d failed: %s", rep, j, exc)
+                log.debug("rep %d sample %d failed", rep, j, exc_info=True)
+                records.append(SampleRecord(rep, j, seed_key, "", str(exc),
                                             None, None))
                 continue
-            model, stats = out
             path = os.path.join(rep_dir, f"sample{j}.pdb")
             write_pdb(model, path)
             cc = rscc(model, dmap, cfg.resolution) if dmap is not None else None
@@ -234,7 +166,8 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
 
 
 def run_guided(cfg: RunConfig) -> list[SampleRecord]:
-    """Density-guided run against `cfg.map`, one guidance context per replicate."""
+    """Density-guided run against `cfg.map`: one point cloud per run, one
+    guidance context per replicate."""
     return _run(cfg, guided=True)
 
 

@@ -139,9 +139,9 @@ def _infer_element(name_field: str) -> str:
 class _Rejected(Exception):
     """Record `row` fails a check; an earlier record may still fail a later one."""
 
-    def __init__(self, row: int, message: str, numbered: bool = True):
+    def __init__(self, row: int, message: str):
         super().__init__(message)
-        self.row, self.message, self.numbered = int(row), message, numbered
+        self.row, self.message = int(row), message
 
 
 def _convert(fields: np.ndarray, parse, dtype, rows: np.ndarray, what: str,
@@ -152,7 +152,7 @@ def _convert(fields: np.ndarray, parse, dtype, rows: np.ndarray, what: str,
 
     If it rejects a field, the first record with such a field (rows[i] for
     field i) raises _Rejected: "bad <what>: <error>", or a PdbFormatError's
-    own message, unnumbered."""
+    own message."""
     values, inverse = np.unique(fields, return_inverse=True) if distinct else (fields, None)
     try:
         parsed = np.array(list(map(parse, values.tolist())), dtype=dtype)
@@ -164,7 +164,7 @@ def _convert(fields: np.ndarray, parse, dtype, rows: np.ndarray, what: str,
         try:
             parse(item)
         except PdbFormatError as exc:
-            raise _Rejected(row, str(exc), numbered=False) from exc
+            raise _Rejected(row, str(exc)) from exc
         except ValueError as exc:
             raise _Rejected(row, f"bad {what}: {exc}") from exc
     raise error
@@ -256,8 +256,7 @@ def _parse_block(lines: list[str], linenos: np.ndarray, newline: np.ndarray) -> 
         except _Rejected as exc:
             failure, records, newline = exc, records[:exc.row], newline[:exc.row]
     if failure is not None:
-        raise PdbFormatError(f"line {linenos[failure.row]}: {failure.message}"
-                             if failure.numbered else failure.message)
+        raise PdbFormatError(f"line {linenos[failure.row]}: {failure.message}")
     return (linenos[rows], *columns)
 
 

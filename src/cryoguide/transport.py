@@ -44,10 +44,15 @@ class SinkhornConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if math.isinf(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.reach is not None and not self.reach > 0:
             raise ValueError(f"reach must be positive or None, got {self.reach}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        # tol = 0 runs exactly max_iters sweeps
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
     @property
     def balanced(self) -> bool:

@@ -85,8 +85,7 @@ def demo_config(map_path, outdir, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def test_criterion_01_minority_mode_recovery(demo, tmp_path, monkeypatch):
-    monkeypatch.setenv("CRYOGUIDE_WORKERS", "1")
+def test_criterion_01_minority_mode_recovery(demo, tmp_path):
     prior, _, map_path = demo
     majority = chain_template(prior.mode_coords(0))
     minority = chain_template(prior.mode_coords(1))
@@ -350,8 +349,7 @@ def test_criterion_08_kmeans_reaches_enumerated_optimum():
         assert worst < 1e-9
 
 
-def test_criterion_09_io_round_trips(demo, tmp_path, monkeypatch):
-    monkeypatch.setenv("CRYOGUIDE_WORKERS", "1")
+def test_criterion_09_io_round_trips(demo, tmp_path):
     _, _, map_path = demo
     rng = np.random.default_rng(12)
 

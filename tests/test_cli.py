@@ -1,10 +1,7 @@
 """Command-line interface tests (exercised through main(argv))."""
 
 import logging
-import multiprocessing
-import os
 import re
-import time
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +57,14 @@ BAD_GUIDANCE = [(["schedule_kind=bogus"], "unknown schedule kind 'bogus'"),
                 # transport, forward-model and seed settings, checked as early
                 (["reach=-5"], "reach must be >= 0 (0 = balanced), got -5.0"),
                 (["epsilon=0"], "epsilon must be positive, got 0.0"),
-                (["sinkhorn_max_iters=0"], "max_iters must be >= 1, got 0"),
+                (["sinkhorn_max_iters=0"], "sinkhorn_max_iters must be >= 1, got 0"),
+                (["sinkhorn_tol=-1"], "sinkhorn_tol must be >= 0 and finite, got -1.0"),
+                (["sinkhorn_tol=inf"], "sinkhorn_tol must be >= 0 and finite, got inf"),
+                (["epsilon=inf"], "epsilon must be finite, got inf"),
                 (["seed=-1"], "seed must be >= 0, got -1"),
                 (["k_points=-3"], "k_points must be >= 0, got -3"),
-                (["resolution=0"], "resolution must be > 0, got 0.0")]
+                (["resolution=0"], "resolution must be > 0, got 0.0"),
+                (["resolution=inf"], "resolution must be finite, got inf")]
 
 BAD_RUN_SHAPES = [("n_samples=0", "n_samples must be >= 1, got 0"),
                   ("n_replicates=0", "n_replicates must be >= 1, got 0"),
@@ -274,20 +275,6 @@ class TestGuide:
         pdb_b = (b_dir / "out" / "rep0" / "sample1.pdb").read_bytes()
         assert pdb_a == pdb_b
 
-    def test_parallel_matches_serial(self, workdir, tmp_path, monkeypatch):
-        cfg = base_config(workdir, tmp_path)
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        assert main(["guide", "--config", str(cfg),
-                     "--set", f"outdir={serial}"]) == 0
-        monkeypatch.setenv("CRYOGUIDE_WORKERS", "2")
-        assert main(["guide", "--config", str(cfg),
-                     "--set", f"outdir={parallel}"]) == 0
-        assert (serial / "manifest.tsv").read_bytes() == \
-            (parallel / "manifest.tsv").read_bytes()
-        assert (serial / "rep1" / "sample0.pdb").read_bytes() == \
-            (parallel / "rep1" / "sample0.pdb").read_bytes()
-
     def test_zero_guidance_equals_unguided_baseline(self, workdir, tmp_path):
         zeros = ("lambda_global_start = 0\nlambda_global_end = 0\n"
                  "lambda_local = 0\nn_samples = 1\nn_replicates = 1\n")
@@ -307,24 +294,16 @@ class TestGuide:
         assert main(["guide", "--config", str(cfg)]) == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_all_failed_samples_recorded_serial_and_parallel(
-            self, workdir, tmp_path, monkeypatch, capsys):
+    def test_all_failed_samples_recorded(self, workdir, tmp_path, capsys):
         cfg = base_config(workdir, tmp_path, extra="lambda_local = 1e300\n")
-        manifests = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("CRYOGUIDE_WORKERS", workers)
-            outdir = tmp_path / f"w{workers}"
-            assert main(["guide", "--config", str(cfg),
-                         "--set", f"outdir={outdir}"]) == 1
-            assert "all samples failed" in capsys.readouterr().err
-            manifests.append((outdir / "manifest.tsv").read_bytes())
-        assert manifests[0] == manifests[1]
-        rows = manifests[0].decode().splitlines()[1:]
+        assert main(["guide", "--config", str(cfg)]) == 1
+        assert "all samples failed" in capsys.readouterr().err
+        outdir = tmp_path / "out"
+        rows = (outdir / "manifest.tsv").read_text().splitlines()[1:]
         assert len(rows) == 4
         assert all("non-finite score" in row.split("\t")[3] for row in rows)
+        assert not list(outdir.rglob("*.pdb"))
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers must inherit the patched sampler")
     def test_unexpected_error_fails_one_sample(self, workdir, tmp_path, monkeypatch):
         real = pipeline.sample_guided
 
@@ -334,109 +313,26 @@ class TestGuide:
             return real(prior, ctx, schedule, gsched, template, seed)
 
         monkeypatch.setattr(pipeline, "sample_guided", fail_rep0_sample1)
-        cfg = base_config(workdir, tmp_path)
-        manifests = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("CRYOGUIDE_WORKERS", workers)
-            outdir = tmp_path / f"w{workers}"
-            assert main(["guide", "--config", str(cfg),
-                         "--set", f"outdir={outdir}"]) == 0
-            manifests.append((outdir / "manifest.tsv").read_bytes())
-        assert manifests[0] == manifests[1]
-        rows = [r.split("\t") for r in manifests[0].decode().splitlines()[1:]]
-        assert [r[3] for r in rows] == ["ok", "stub failure", "ok", "ok"]
-        assert rows[1][4:] == ["", ""]
-
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers must inherit the patched sampler")
-    def test_crashed_worker_recorded_as_failed(self, workdir, tmp_path, monkeypatch):
-        real = pipeline.sample_guided
-
-        def crash_on_rep1(prior, ctx, schedule, gsched, template, seed):
-            if seed.spawn_key == (1, 0):
-                os._exit(1)
-            return real(prior, ctx, schedule, gsched, template, seed)
-
-        monkeypatch.setattr(pipeline, "sample_guided", crash_on_rep1)
-        monkeypatch.setenv("CRYOGUIDE_WORKERS", "2")
-        cfg = base_config(workdir, tmp_path, extra="n_samples = 1\nn_replicates = 3\n")
-        assert main(["guide", "--config", str(cfg)]) == 0
+        assert main(["guide", "--config", str(base_config(workdir, tmp_path))]) == 0
         outdir = tmp_path / "out"
         rows = [r.split("\t") for r in
                 (outdir / "manifest.tsv").read_text().splitlines()[1:]]
-        assert [r[:3] for r in rows] == [["0", "0", "11:0:0"], ["1", "0", "11:1:0"],
-                                         ["2", "0", "11:2:0"]]
-        assert rows[0][3] == "ok" and rows[2][3] == "ok"
-        assert rows[1][3].startswith("worker process died: ")
+        assert [r[3] for r in rows] == ["ok", "stub failure", "ok", "ok"]
         assert rows[1][4:] == ["", ""]
-        summary = (outdir / "summary.tsv").read_text().splitlines()
-        assert [line.split("\t")[:2] for line in summary[1:]] == [["0", "1"], ["1", "0"],
-                                                                   ["2", "1"]]
+        assert not (outdir / "rep0" / "sample1.pdb").exists()
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers must inherit the patched sampler")
-    def test_worker_death_while_submitting(self, monkeypatch):
-        pools = []
+    def test_one_pointcloud_per_run(self, workdir, tmp_path, monkeypatch):
+        real = pipeline.extract_pointcloud
+        calls = []
 
-        class RecordingPool(pipeline.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-        def crash_or_echo(prior, ctx, schedule, gsched, template, seed):
-            if seed == "crash":
-                os._exit(1)
-            return seed
-
-        def seeds():
-            yield "crash"
-            # hold the next seed back until the pool has seen its worker die
-            deadline = time.monotonic() + 30.0
-            while not pools[0]._broken and time.monotonic() < deadline:
-                time.sleep(0.01)
-            yield "late"
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(pipeline, "sample_guided", crash_or_echo)
-        shared = (None, None, "ctx", None, None)
-        outs = list(pipeline._map_samples(shared, seeds(), 2))
-        assert len(outs) == 2
-        assert all(isinstance(o, RuntimeError) for o in outs)
-        assert all(str(o).startswith("worker process died: ") for o in outs)
-
-    def test_pool_tasks_carry_only_their_seed(self, workdir, tmp_path, monkeypatch):
-        # the replicate's context reaches each worker once, through the pool's
-        # initializer; a task pickles its seed alone
-        inits, submitted = [], []
-
-        class RecordingPool(pipeline.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                inits.append(kwargs["initargs"])
-                super().__init__(*args, **kwargs)
-
-            def submit(self, fn, *args, **kwargs):
-                submitted.append(args)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setenv("CRYOGUIDE_WORKERS", "2")
-        assert main(["guide", "--config", str(base_config(workdir, tmp_path))]) == 0
-        assert len(inits) == 2 and len(submitted) == 4
-        assert all(len(args) == 1 and isinstance(args[0], np.random.SeedSequence)
-                   for args in submitted)
-        for (shared,) in inits:
-            _, _, ctx, _, _ = shared
-            assert ctx.target_map.data.shape == read_mrc(workdir / "chain.mrc").data.shape
-
-    def test_bad_worker_count(self, workdir, tmp_path, monkeypatch, capsys):
-        cfg = base_config(workdir, tmp_path)
-        for raw, message in (("0", "must be >= 1, got 0"),
-                             ("-3", "must be >= 1, got -3"),
-                             ("x", "must be an integer, got 'x'")):
-            monkeypatch.setenv("CRYOGUIDE_WORKERS", raw)
-            assert main(["guide", "--config", str(cfg),
-                         "--set", f"outdir={tmp_path / 'w'}"]) == 1
-            assert f"CRYOGUIDE_WORKERS {message}" in capsys.readouterr().err
+        monkeypatch.setattr(pipeline, "extract_pointcloud", counted)
+        cfg = base_config(workdir, tmp_path, extra="n_samples = 1\nn_replicates = 3\n")
+        assert main(["guide", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
 
     def test_unknown_config_key(self, workdir, tmp_path, capsys):
         cfg = base_config(workdir, tmp_path)
@@ -544,12 +440,11 @@ class TestSampleCommand:
         assert summary == ["replicate\tn_ok\tbest_sample\tbest_rscc\tbest_rmsd",
                            "0\t2\t\t\t", "1\t2\t\t\t"]
 
-    def test_parallel_matches_serial(self, workdir, tmp_path, monkeypatch):
+    def test_output_tree_reproducible(self, workdir, tmp_path):
         cfg = base_config(workdir, tmp_path)
         outputs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("CRYOGUIDE_WORKERS", workers)
-            outdir = tmp_path / f"w{workers}"
+        for name in ("a", "b"):
+            outdir = tmp_path / name
             assert main(["sample", "--config", str(cfg),
                          "--set", f"outdir={outdir}"]) == 0
             outputs.append({str(p.relative_to(outdir)): p.read_bytes()
@@ -559,8 +454,6 @@ class TestSampleCommand:
                                       "rep1/sample1.pdb", "summary.tsv"]
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers must inherit the patched sampler")
     def test_failed_draw_fails_one_sample(self, workdir, tmp_path, monkeypatch):
         real = pipeline.sample_unguided
 
@@ -570,17 +463,11 @@ class TestSampleCommand:
             return real(prior, schedule, seed)
 
         monkeypatch.setattr(pipeline, "sample_unguided", fail_rep0_sample1)
-        cfg = base_config(workdir, tmp_path)
-        manifests = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("CRYOGUIDE_WORKERS", workers)
-            outdir = tmp_path / f"w{workers}"
-            assert main(["sample", "--config", str(cfg),
-                         "--set", f"outdir={outdir}"]) == 0
-            manifests.append((outdir / "manifest.tsv").read_bytes())
-            assert not (outdir / "rep0" / "sample1.pdb").exists()
-        assert manifests[0] == manifests[1]
-        rows = [r.split("\t") for r in manifests[0].decode().splitlines()[1:]]
+        assert main(["sample", "--config", str(base_config(workdir, tmp_path))]) == 0
+        outdir = tmp_path / "out"
+        assert not (outdir / "rep0" / "sample1.pdb").exists()
+        rows = [r.split("\t") for r in
+                (outdir / "manifest.tsv").read_text().splitlines()[1:]]
         assert [r[3] for r in rows] == ["ok", "stub failure", "ok", "ok"]
         assert rows[1][4:] == ["", ""]
 

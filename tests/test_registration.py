@@ -15,6 +15,7 @@ from cryoguide.config import RunConfig
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.metrics import rscc
 from cryoguide.pipeline import build_context, run_guided
+from cryoguide.pointcloud import extract_pointcloud
 from cryoguide.priors import chain_template, single_mode_chain_prior
 from cryoguide.structure import read_pdb, write_pdb
 from cryoguide.volume import write_mrc
@@ -59,13 +60,15 @@ class TestBuildContext:
         root, _, dmap, prior = displaced_setup
         cfg = registered_config(root, root / "ctx")
         cfg.register = False
-        ctx = build_context(cfg, dmap, prior, rep=0)
+        cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
+        ctx = build_context(cfg, dmap, cloud, prior, rep=0)
         assert ctx.reference is None
 
     def test_registration_docks_reference(self, displaced_setup):
         root, truth, dmap, prior = displaced_setup
         cfg = registered_config(root, root / "ctx2")
-        ctx = build_context(cfg, dmap, prior, rep=0)
+        cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
+        ctx = build_context(cfg, dmap, cloud, prior, rep=0)
         assert ctx.reference is not None and ctx.reference.shape == (30, 3)
         # the docked unguided reference sits near the displaced truth without
         # any further alignment (the prior is tight, tau = 1)

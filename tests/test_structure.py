@@ -70,9 +70,10 @@ def reference_width_error(model):
 
 def reference_read_pdb(path):
     """read_pdb as it was, one line at a time, kept as the oracle of the
-    columnar reader: the same model, or the same PdbFormatError.  The one
-    change: a bad occupancy field raised a bare ValueError then, and raises
-    the reader's numbered message now."""
+    columnar reader: the same model, or the same PdbFormatError.  Two
+    changes: a bad occupancy field raised a bare ValueError then, and raises
+    the reader's numbered message now; an atom name with no element to infer
+    raised an unnumbered message then, and is numbered now."""
     rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -96,7 +97,10 @@ def reference_read_pdb(path):
                 raise PdbFormatError(f"line {lineno}: bad occupancy field: {exc}") from exc
             element = line[76:78].strip().upper() if len(line) >= 78 else ""
             if not element:
-                element = _infer_element(line[12:16])
+                try:
+                    element = _infer_element(line[12:16])
+                except PdbFormatError as exc:
+                    raise PdbFormatError(f"line {lineno}: {exc}") from exc
             if element in ("H", "D"):
                 continue
             if element not in ATOMIC_NUMBERS:
@@ -332,8 +336,8 @@ class TestReadPdb:
             assert read_pdb(path).elements.tolist() == [element]
 
     # one bad record as line 2 of three, and the message the reader gave
-    # for it before it read fields column-wise (a bad occupancy field had no
-    # line number then)
+    # for it before it read fields column-wise (a bad occupancy field and an
+    # atom name with no element to infer had no line number then)
     _BAD_RECORDS = [
         ("ATOM      2  CA  GLY A   2       1.000",
          "line 2: ATOM record too short"),
@@ -346,7 +350,7 @@ class TestReadPdb:
         (atom_line(serial=2, resseq=2, element="XX"),
          "line 2: unrecognized element 'XX'"),
         (atom_line(serial=2, resseq=2, name=" 12 ", element="  "),
-         "cannot infer element from atom name ' 12 '"),
+         "line 2: cannot infer element from atom name ' 12 '"),
         (atom_line(serial=2, resseq=2).replace("   2.000", "     nan", 1),
          "line 2: non-finite coordinate [ 1. nan  3.]"),
     ]

@@ -51,6 +51,14 @@ class TestConfig:
             SinkhornConfig(reach=-1.0)
         with pytest.raises(ValueError, match="max_iters"):
             SinkhornConfig(max_iters=0)
+        with pytest.raises(ValueError, match="^epsilon must be finite, got inf$"):
+            SinkhornConfig(epsilon=np.inf)
+        # an infinite tol would stop every solve after one sweep, flagged
+        # converged; a negative one would run every solve to max_iters
+        for tol in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^tol must be >= 0 and finite, got {tol}$"):
+                SinkhornConfig(tol=tol)
+        assert SinkhornConfig(tol=0.0).tol == 0.0   # exactly max_iters sweeps
 
     def test_balanced_flag(self):
         assert SinkhornConfig(reach=None).balanced
