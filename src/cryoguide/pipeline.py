@@ -116,10 +116,14 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
     prior, template = _prior_and_template(cfg)
     reference = read_pdb(cfg.reference) if cfg.reference else None
     schedule = cfg.noise_schedule()
-    # both commands reject invalid guidance and transport settings, though
-    # sample uses none
+    # both commands reject invalid guidance, transport and blur settings,
+    # though sample uses none of them
     gsched = cfg.guidance_schedule()
     cfg.sinkhorn_config()
+    try:
+        BlurOperator(sigma_b=cfg.blur_sigma)
+    except ValueError as exc:
+        raise ConfigError(f"blur_sigma: {exc}") from None
     if guided and gsched.n_steps != schedule.n_steps:
         raise ConfigError(f"guidance stages sum to {gsched.n_steps}, "
                           f"n_steps = {schedule.n_steps}")

@@ -23,6 +23,8 @@ def hinged_chain_modes(hinge_deg: float = 72.0, n_beads: int = 30,
     rotates the final half about a hinge through the middle bead.  Both are
     returned centered on A's mean.
     """
+    if not np.isfinite(hinge_deg):
+        raise ValueError(f"hinge_deg must be finite, got {hinge_deg}")
     d1 = np.array([1.0, 0.0, 0.0])
     d2 = np.array([0.25, 1.0, 0.15])
     d2 = d2 / np.linalg.norm(d2)

@@ -53,6 +53,9 @@ class NoiseSchedule:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.churn < 0:
             raise ValueError(f"churn must be >= 0, got {self.churn}")
+        for name in ("sigma_max", "rho", "churn"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def sigmas(self) -> np.ndarray:
         """Strictly decreasing levels, length n_steps + 1, terminal 0."""
@@ -104,10 +107,11 @@ class GaussianMixturePrior(ScoreModel):
         means, taus, weights = [], [], []
         for mean, tau, weight in modes:
             mean = np.asarray(mean, dtype=np.float64).ravel()
-            if tau <= 0:
-                raise ValueError(f"mode std must be positive, got {tau}")
-            if weight <= 0:
-                raise ValueError(f"mode weight must be positive, got {weight}")
+            for what, value in (("std", tau), ("weight", weight)):
+                if not 0 < value < math.inf:        # NaN fails too
+                    raise ValueError(f"mode {what} must be positive and finite, got {value}")
+            if not np.isfinite(mean).all():
+                raise ValueError("mode mean must be finite")
             means.append(mean)
             taus.append(float(tau))
             weights.append(float(weight))
@@ -158,8 +162,11 @@ class GuidanceSchedule:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("lambda_global_start", "lambda_global_end", "lambda_local"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def n_steps(self) -> int:

@@ -136,38 +136,28 @@ def _infer_element(name_field: str) -> str:
     raise PdbFormatError(f"cannot infer element from atom name {name_field!r}")
 
 
-class _Rejected(Exception):
-    """Record `row` fails a check; an earlier record may still fail a later one."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row, self.message = int(row), message
-
-
 def _convert(fields: np.ndarray, parse, dtype, rows: np.ndarray, what: str,
-             distinct: bool = True) -> np.ndarray:
+             distinct: bool = True) -> tuple[np.ndarray, dict]:
     """`parse(field)` for each field, as an array of `dtype`, so that Python's
     own float, int and str rules hold.  `parse` runs once per distinct field,
     or once per field if `distinct` is False (for fields that seldom repeat).
 
-    If it rejects a field, the first record with such a field (rows[i] for
-    field i) raises _Rejected: "bad <what>: <error>", or a PdbFormatError's
-    own message."""
+    Also returns, for each field it rejects, rows[i] (for field i) mapped to
+    "bad <what>: <error>" or a PdbFormatError's own message; the rejected
+    field's value is `dtype()`."""
     values, inverse = np.unique(fields, return_inverse=True) if distinct else (fields, None)
     try:
         parsed = np.array(list(map(parse, values.tolist())), dtype=dtype)
-    except ValueError as exc:
-        error = exc
-    else:
-        return parsed if inverse is None else parsed[inverse.ravel()]
-    for row, item in zip(rows.tolist(), fields.tolist()):      # the error path
-        try:
-            parse(item)
-        except PdbFormatError as exc:
-            raise _Rejected(row, str(exc)) from exc
-        except ValueError as exc:
-            raise _Rejected(row, f"bad {what}: {exc}") from exc
-    raise error
+    except ValueError:                          # the error path: field by field
+        parsed, failed = [], {}
+        for row, field in zip(rows.tolist(), fields.tolist()):
+            try:
+                parsed.append(parse(field))
+            except ValueError as exc:
+                parsed.append(dtype())
+                failed[row] = str(exc) if isinstance(exc, PdbFormatError) else f"bad {what}: {exc}"
+        return np.array(parsed, dtype=dtype), failed
+    return (parsed if inverse is None else parsed[inverse.ravel()]), {}
 
 
 def _text(codes: np.ndarray) -> np.ndarray:
@@ -181,8 +171,12 @@ def _occupancy(field: str) -> float:
 
 
 def _element(key: str) -> str:
-    """Element from a record's atom name field and element columns, joined."""
-    return key[4:].strip().upper() or _infer_element(key[:4])
+    """Element from a record's atom name field and element columns, joined:
+    one of ATOMIC_NUMBERS, or D (deuterium), which the reader drops."""
+    element = key[4:].strip().upper() or _infer_element(key[:4])
+    if element not in ATOMIC_NUMBERS and element != "D":
+        raise PdbFormatError(f"unrecognized element {element!r}")
+    return element
 
 
 def _residue_name(field: str) -> str:
@@ -190,42 +184,6 @@ def _residue_name(field: str) -> str:
 
 
 _ALTLOCS = np.array([ord(" "), ord("A")], dtype=np.uint32)
-_KNOWN_ELEMENTS = list(ATOMIC_NUMBERS)
-
-
-def _parse_records(records: np.ndarray, newline: np.ndarray):
-    """Row numbers and columns (elements, xyz, chain IDs, residue numbers,
-    residue and atom names) of the records that pass the filters.  Each check
-    runs over all records at once, in the order a record meets them, and
-    raises _Rejected at its first failing record."""
-    codes = records.view(np.uint32).reshape(len(records), 78)
-    length = np.char.str_len(records)
-    short = np.flatnonzero(length < 54)
-    if len(short):
-        raise _Rejected(short[0], "ATOM record too short")
-    rows = np.flatnonzero(np.isin(codes[:, 16], _ALTLOCS))
-    # x, y, then z, the order in which a record's fields fail
-    xyz = np.stack([_convert(_text(codes[rows, lo:lo + 8]), float, np.float64, rows,
-                             "coordinate field", distinct=False) for lo in (30, 38, 46)], 1)
-    # a NaN occupancy is kept: only a value <= 0 drops the record
-    keep = ~(_convert(_text(codes[rows, 54:60]), _occupancy, np.float64, rows,
-                      "occupancy field") <= 0)
-    rows, xyz = rows[keep], xyz[keep]
-    # atom name field, then the element columns when the record, newline
-    # included, reaches column 78
-    key = codes[:, [12, 13, 14, 15, 76, 77]][rows]
-    key[length[rows] + newline[rows] < 78, 4:] = 0
-    elements = _convert(_text(key), _element, str, rows, "element")
-    keep = (elements != "H") & (elements != "D")
-    rows, xyz, elements = rows[keep], xyz[keep], elements[keep]
-    unknown = np.flatnonzero(~np.isin(elements, _KNOWN_ELEMENTS))
-    if len(unknown):
-        raise _Rejected(rows[unknown[0]],
-                        f"unrecognized element {elements[unknown[0]].item()!r}")
-    return rows, (elements, xyz, _text(codes[rows, 21:22]),
-                  _convert(_text(codes[rows, 22:26]), int, np.int64, rows, "residue number"),
-                  _convert(_text(codes[rows, 17:20]), _residue_name, str, rows, "residue name"),
-                  _convert(_text(codes[rows, 12:16]), str.strip, str, rows, "atom name"))
 
 
 def _atom_lines(path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -242,22 +200,52 @@ def _atom_lines(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 
 def _parse_block(lines: list[str], linenos: np.ndarray, newline: np.ndarray) -> tuple:
-    """The line numbers and columns of the records in `lines` that pass the
-    filters, or PdbFormatError for the first record that fails a check."""
+    """The line numbers and columns (elements, xyz, chain IDs, residue
+    numbers, residue and atom names) of the records in `lines` that pass the
+    filters, or PdbFormatError for the first record that fails a check.
+
+    One pass: each check runs once over the records still live, in the order
+    a record meets them, and a record leaves when a check rejects it or a
+    filter drops it; the first rejected record then raises."""
     records = np.array(lines, dtype="<U78")     # no field lies past column 78
-    # A check that fails at record r ends the pass, and the records before r
-    # are parsed again, as one of them may fail a later check: the last
-    # failure found is the first failing record.
-    failure = None
-    while True:
-        try:
-            rows, columns = _parse_records(records, newline)
-            break
-        except _Rejected as exc:
-            failure, records, newline = exc, records[:exc.row], newline[:exc.row]
-    if failure is not None:
-        raise PdbFormatError(f"line {linenos[failure.row]}: {failure.message}")
-    return (linenos[rows], *columns)
+    codes = records.view(np.uint32).reshape(len(records), 78)
+    length = np.char.str_len(records)
+    live = length >= 54
+    failures = dict.fromkeys(np.flatnonzero(~live).tolist(), "ATOM record too short")
+    live &= np.isin(codes[:, 16], _ALTLOCS)
+    xyz = np.zeros((len(records), 3))
+    for j, lo in enumerate((30, 38, 46)):       # x, y, then z
+        rows = np.flatnonzero(live)
+        xyz[rows, j], failed = _convert(_text(codes[rows, lo:lo + 8]), float, np.float64,
+                                        rows, "coordinate field", distinct=False)
+        live[list(failed)] = False
+        failures.update(failed)
+    rows = np.flatnonzero(live)
+    occupancy, failed = _convert(_text(codes[rows, 54:60]), _occupancy, np.float64,
+                                 rows, "occupancy field")
+    live[rows[occupancy <= 0]] = False          # a NaN occupancy is kept
+    live[list(failed)] = False
+    failures.update(failed)
+    # atom name field, then the element columns when the record, newline
+    # included, reaches column 78
+    rows = np.flatnonzero(live)
+    key = codes[:, [12, 13, 14, 15, 76, 77]][rows]
+    key[length[rows] + newline[rows] < 78, 4:] = 0
+    elements, failed = _convert(_text(key), _element, str, rows, "element")
+    live[rows[(elements == "H") | (elements == "D")]] = False
+    live[list(failed)] = False
+    failures.update(failed)
+    kept = np.flatnonzero(live)
+    res_indices, failed = _convert(_text(codes[kept, 22:26]), int, np.int64, kept,
+                                   "residue number")
+    failures.update(failed)
+    if failures:
+        row = min(failures)
+        raise PdbFormatError(f"line {linenos[row]}: {failures[row]}")
+    return (linenos[kept], elements[live[rows]], xyz[kept], _text(codes[kept, 21:22]),
+            res_indices,
+            _convert(_text(codes[kept, 17:20]), _residue_name, str, kept, "residue name")[0],
+            _convert(_text(codes[kept, 12:16]), str.strip, str, kept, "atom name")[0])
 
 
 # records parsed at a time: one array for a whole 4,800-atom file (1.5 MB)
@@ -270,7 +258,8 @@ def read_pdb(path) -> AtomicModel:
     """Parse ATOM records: first model, altloc ' '/'A', occupancy > 0, no hydrogens.
 
     A record that fails a check raises PdbFormatError naming its line; when
-    several fail, the first of them in the file does.
+    several fail, the first of them in the file does.  Each block of records
+    is checked in one pass (see _parse_block).
     """
     lines, linenos, newline = _atom_lines(path)
     blocks = [_parse_block(lines[lo:lo + _BLOCK], linenos[lo:lo + _BLOCK],

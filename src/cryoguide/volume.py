@@ -46,10 +46,13 @@ class DensityMap:
         n_bad = data.size - np.count_nonzero(np.isfinite(data))
         if n_bad:
             raise ValueError(f"map data has {n_bad} non-finite voxels")
-        if not self.voxel_size > 0:
-            raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")
+        if not (self.voxel_size > 0 and np.isfinite(self.voxel_size)):
+            raise ValueError(f"voxel_size must be positive and finite, got {self.voxel_size}")
+        origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
+        if not np.isfinite(origin).all():
+            raise ValueError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3))
+        object.__setattr__(self, "origin", origin)
         self.data.setflags(write=False)
 
     @property

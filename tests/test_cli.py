@@ -54,6 +54,15 @@ BAD_GUIDANCE = [(["schedule_kind=bogus"], "unknown schedule kind 'bogus'"),
                  "lambda_global_start must be >= 0, got -0.5"),
                 (["lambda_global_end=-2"], "lambda_global_end must be >= 0, got -2.0"),
                 (["schedule_kind=custom", "t_warm=-1"], "t_warm must be >= 0"),
+                (["lambda_local=inf"], "lambda_local must be finite, got inf"),
+                (["lambda_global_start=inf"], "lambda_global_start must be finite, got inf"),
+                (["lambda_global_end=inf"], "lambda_global_end must be finite, got inf"),
+                # noise schedule and prior settings
+                (["sigma_max=inf"], "sigma_max must be finite, got inf"),
+                (["rho=inf"], "rho must be finite, got inf"),
+                (["churn=inf"], "churn must be finite, got inf"),
+                (["prior_tau=inf"], "mode std must be positive and finite, got inf"),
+                (["prior_hinge_deg=inf"], "hinge_deg must be finite, got inf"),
                 # transport, forward-model and seed settings, checked as early
                 (["reach=-5"], "reach must be >= 0 (0 = balanced), got -5.0"),
                 (["epsilon=0"], "epsilon must be positive, got 0.0"),
@@ -64,7 +73,9 @@ BAD_GUIDANCE = [(["schedule_kind=bogus"], "unknown schedule kind 'bogus'"),
                 (["seed=-1"], "seed must be >= 0, got -1"),
                 (["k_points=-3"], "k_points must be >= 0, got -3"),
                 (["resolution=0"], "resolution must be > 0, got 0.0"),
-                (["resolution=inf"], "resolution must be finite, got inf")]
+                (["resolution=inf"], "resolution must be finite, got inf"),
+                (["blur_sigma=-1"], "blur_sigma: blur width must be finite and >= 0, got -1.0"),
+                (["blur_sigma=inf"], "blur_sigma: blur width must be finite and >= 0, got inf")]
 
 BAD_RUN_SHAPES = [("n_samples=0", "n_samples must be >= 1, got 0"),
                   ("n_replicates=0", "n_replicates must be >= 1, got 0"),

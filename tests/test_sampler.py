@@ -65,6 +65,9 @@ class TestNoiseSchedule:
             NoiseSchedule(rho=0.0)
         with pytest.raises(ValueError, match="churn"):
             NoiseSchedule(churn=-0.1)
+        for name in ("sigma_max", "rho", "churn"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+                NoiseSchedule(**{name: np.inf})
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(1e-3, 1.0), st.floats(2.0, 500.0), st.floats(1.0, 10.0),
@@ -118,6 +121,13 @@ class TestGaussianMixturePrior:
             GaussianMixturePrior([(np.zeros(3), 1.0, 1.0), (np.zeros(6), 1.0, 1.0)])
         with pytest.raises(ValueError, match="multiple of 3"):
             GaussianMixturePrior([(np.zeros(4), 1.0, 1.0)])
+        with pytest.raises(ValueError, match="^mode std must be positive and finite, got inf$"):
+            GaussianMixturePrior([(np.zeros(3), np.inf, 1.0)])
+        with pytest.raises(ValueError, match="^mode weight must be positive and finite, got inf$"):
+            GaussianMixturePrior([(np.zeros(3), 1.0, 1.0), (np.zeros(3), 1.0, np.inf)])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^mode mean must be finite$"):
+                GaussianMixturePrior([(np.array([0.0, bad, 0.0]), 1.0, 1.0)])
 
 
 def bits(x):
@@ -272,6 +282,8 @@ class TestGuidanceSchedule:
         for name in ("lambda_global_start", "lambda_global_end", "lambda_local"):
             with pytest.raises(ValueError, match=f"{name} must be >= 0, got nan"):
                 GuidanceSchedule(1, 1, 1, 1, **{name: float("nan")})
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+                GuidanceSchedule(1, 1, 1, 1, **{name: np.inf})
 
 
 def two_atom_system():

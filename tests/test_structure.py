@@ -366,39 +366,51 @@ class TestReadPdb:
 
     def test_first_failing_record_wins(self, tmp_path):
         """Checks run column-wise, but the error is the first failing
-        record's, whichever check fails it."""
+        record's, whichever check fails it; a bad field in a record that a
+        filter drops is no error."""
         late_check = atom_line(serial=2, resseq=2).replace("A   2", "A  x2", 1)
         early_check = "ATOM      3  CA  GLY A   3       1.000"
         non_finite = atom_line(serial=2, resseq=2).replace("   2.000", "     inf", 1)
         skipped = [atom_line(serial=5, altloc="B").replace("   1.000", "  1.0.00", 1),
                    atom_line(serial=6, element=" H").replace("A   1", "A  x1", 1),
                    atom_line(serial=7, occ="  0.00", element="XX")]
+        dropped = [*skipped, atom_line(serial=8, altloc="B", occ="  x.00"),
+                   atom_line(serial=9, altloc="B").replace("   2.000", "     nan", 1),
+                   atom_line(serial=10, occ="  0.00", name=" 12 ", element="  "),
+                   atom_line(serial=11, occ="  0.00").replace("   3.000", "     inf", 1),
+                   atom_line(serial=12, element=" D", resseq=12).replace("A  12", "A  x2", 1)]
         for lines, message in (
                 ([atom_line(serial=1), late_check, early_check],
                  "line 2: bad residue number: invalid literal for int() with base 10: '  x2'"),
                 ([atom_line(serial=1), non_finite, late_check.replace(" 2 ", " 3 ")],
                  "line 3: bad residue number: invalid literal for int() with base 10: '  x2'"),
                 ([atom_line(serial=1), *skipped, non_finite],
-                 "line 5: non-finite coordinate [ 1. inf  3.]")):
+                 "line 5: non-finite coordinate [ 1. inf  3.]"),
+                ([atom_line(serial=1), *dropped, atom_line(serial=13, resseq=13)], None)):
             path = write_lines(tmp_path, lines)
-            with pytest.raises(PdbFormatError) as exc:
-                read_pdb(path)
-            assert str(exc.value) == message == read_outcome(reference_read_pdb, path)
+            got = read_outcome(read_pdb, path)
+            assert got == read_outcome(reference_read_pdb, path)
+            if message is None:
+                assert read_pdb(path).res_indices.tolist() == [1, 13]
+            else:
+                assert got == message
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_errors_match_reference_reader(self, tmp_path, seed):
         rng = np.random.default_rng(100 + seed)
         lines = random_pdb_lines(rng, 40)
-        for _ in range(3):
-            bad, _ = self._BAD_RECORDS[rng.integers(len(self._BAD_RECORDS))]
-            lines.insert(int(rng.integers(2, len(lines) - 4)), bad)
+        for bad, _ in self._BAD_RECORDS:                # up to one of each kind
+            if rng.random() < 0.5:
+                lines.insert(int(rng.integers(2, len(lines) - 4)), bad)
         path = write_lines(tmp_path, lines)
         assert read_outcome(read_pdb, path) == read_outcome(reference_read_pdb, path)
 
     def test_blocks_of_records_match_reference_reader(self, tmp_path):
         """A file longer than one parse block: the columns, the widest
         element column (iron in the last block only) and the line of the
-        first bad record are the file's, whichever block they fall in."""
+        first bad record are the file's, whichever block they fall in.
+        Records that fail different checks in one block, in reverse check
+        order, give the first of them, whichever check found it."""
         lines = random_pdb_lines(np.random.default_rng(21), 3000)
         lines = [line.replace(" FE  HEM", " CA  HEM") for line in lines]
         lines.insert(2800, atom_line(serial=9999, name="FE  ", res="HEM", element="FE"))
@@ -406,6 +418,20 @@ class TestReadPdb:
         got = read_outcome(read_pdb, path)
         assert got == read_outcome(reference_read_pdb, path)
         assert got[0][0] == "<U2"
+        # each record also fails the last check, which must not name it
+        reverse = [line.replace("A   1", "A  x1", 1) for line in (
+            atom_line(), atom_line(element="XX"), atom_line(name=" 12 ", element="  "),
+            atom_line(occ="  x.00"), atom_line().replace("   3.000", "  3.0.00", 1),
+            atom_line().replace("   2.000", "  2.0.00", 1),
+            atom_line().replace("   1.000", "  1.0.00", 1),
+            "ATOM      3  CA  GLY A   1       1.000")]
+        for first, check in enumerate(("bad residue number", "unrecognized element",
+                                       "cannot infer element", "bad occupancy field",
+                                       *["bad coordinate field"] * 3, "ATOM record too short")):
+            path = write_lines(tmp_path, lines[:1500] + reverse[first:] + lines[1500:])
+            got = read_outcome(read_pdb, path)
+            assert got == read_outcome(reference_read_pdb, path)
+            assert got.startswith(f"line 1501: {check}")
         late = atom_line(serial=2, resseq=2).replace("A   2", "A  x2", 1)
         for at, bad in ((1500, late), (2500, "ATOM      3  CA  GLY A   3       1.000")):
             lines.insert(at, bad)

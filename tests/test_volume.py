@@ -109,6 +109,15 @@ class TestReadMrc:
         m = read_mrc(path)
         np.testing.assert_allclose(m.origin, np.array([-1, 2, 3]) * 1.5, atol=1e-6)
 
+    def test_non_finite_origin_rejected(self, tmp_path, rng):
+        blob = bytearray(build_mrc_bytes(rng.standard_normal((3, 4, 5)), voxel=1.0,
+                                         origin=(1.0, 2.0, 3.0)))
+        blob[196:208] = struct.pack("<3f", np.nan, np.nan, np.nan)
+        path = tmp_path / "nan-origin.mrc"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"^origin must be finite, got \[nan nan nan\]$"):
+            read_mrc(path)
+
     def test_bad_magic_rejected(self, tmp_path, rng):
         v = rng.standard_normal((2, 2, 2)).astype(np.float32)
         path = tmp_path / "bad.mrc"
@@ -180,6 +189,11 @@ class TestDensityMap:
         with pytest.raises(ValueError, match="2 non-finite voxels"):
             DensityMap(data=np.array([np.nan, np.inf, 0.0]).reshape(3, 1, 1),
                        voxel_size=1.0)
+        with pytest.raises(ValueError, match="^voxel_size must be positive and finite, got inf$"):
+            DensityMap(data=np.zeros((2, 2, 2)), voxel_size=np.inf)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^origin must be finite"):
+                DensityMap(data=np.zeros((2, 2, 2)), voxel_size=1.0, origin=(0.0, bad, 0.0))
 
     def test_data_read_only(self):
         m = DensityMap(data=np.zeros((2, 2, 2)), voxel_size=1.0)
