@@ -94,6 +94,10 @@ def kabsch(mobile: np.ndarray, target: np.ndarray) -> tuple[RigidTransform, floa
 def rotation_about(axis: np.ndarray, degrees: float) -> np.ndarray:
     """Rodrigues rotation matrix about `axis` by `degrees`."""
     axis = np.asarray(axis, dtype=np.float64)
+    if not np.isfinite(axis).all():
+        raise ValueError(f"rotation_about: axis must be finite, got {axis}")
+    if not np.isfinite(degrees):
+        raise ValueError(f"rotation_about: degrees must be finite, got {degrees}")
     norm = np.linalg.norm(axis)
     if norm == 0:
         raise ValueError("rotation_about: axis must be nonzero")

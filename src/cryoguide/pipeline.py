@@ -12,19 +12,20 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .alignment import dock_to_map
 from .config import ConfigError, RunConfig
 from .metrics import evaluate, rscc
-from .pointcloud import PointCloud, cluster_count, extract_pointcloud
+from .pointcloud import cluster_count, extract_pointcloud
 from .priors import chain_template, single_mode_chain_prior, two_mode_chain_prior
 from .forward import BlurOperator
-from .sampler import GuidanceContext, SampleStats, sample_guided, sample_unguided
+from .sampler import (GuidanceContext, NoiseSchedule, SampleStats, sample_guided,
+                      sample_unguided)
 from .structure import read_pdb, write_pdb
-from .volume import DensityMap, read_mrc
+from .volume import read_mrc
 
 log = logging.getLogger(__name__)
 
@@ -59,86 +60,96 @@ def _sample_seed(cfg_seed: int, rep: int, j: int) -> np.random.SeedSequence:
 
 
 def _prior_and_template(cfg: RunConfig):
+    """The run's prior and its default chain template.  A prior_minor_weight
+    outside (0, 1), a non-positive or infinite prior_tau or an infinite
+    prior_hinge_deg is a ConfigError that names the key, whichever prior the
+    run uses."""
+    if not 0 < cfg.prior_minor_weight < 1:     # NaN fails too
+        raise ConfigError(f"prior_minor_weight: minor mode weight must be in (0, 1), "
+                          f"got {cfg.prior_minor_weight}")
+    if not 0 < cfg.prior_tau < math.inf:
+        raise ConfigError(f"prior_tau: mode std must be positive and finite, "
+                          f"got {cfg.prior_tau}")
+    if not math.isfinite(cfg.prior_hinge_deg):
+        raise ConfigError(f"prior_hinge_deg: hinge_deg must be finite, "
+                          f"got {cfg.prior_hinge_deg}")
     if cfg.prior == "chain-two-mode":
-        prior, template = two_mode_chain_prior(hinge_deg=cfg.prior_hinge_deg,
-                                               tau=cfg.prior_tau,
-                                               minor_weight=cfg.prior_minor_weight)
-    elif cfg.prior == "chain-single":
-        prior, template = single_mode_chain_prior(tau=cfg.prior_tau)
-    else:
-        raise ConfigError(f"unknown prior {cfg.prior!r}")
-    if cfg.template:
-        template = read_pdb(cfg.template)
-        if len(template) != prior.n_atoms:
-            raise ConfigError(f"template atom count {len(template)} does not "
-                              f"match prior ({prior.n_atoms})")
-    return prior, template
+        return two_mode_chain_prior(hinge_deg=cfg.prior_hinge_deg, tau=cfg.prior_tau,
+                                    minor_weight=cfg.prior_minor_weight)
+    if cfg.prior == "chain-single":
+        return single_mode_chain_prior(tau=cfg.prior_tau)
+    raise ConfigError(f"unknown prior {cfg.prior!r}")
 
 
-def build_context(cfg: RunConfig, dmap: DensityMap, cloud: PointCloud, prior,
+def build_context(cfg: RunConfig, ctx: GuidanceContext, prior, schedule: NoiseSchedule,
                   rep: int) -> GuidanceContext:
-    """Assemble the guidance inputs for one replicate: the run's point cloud,
-    blur, and — when registration is on — an unguided reference docked into
-    the map.
+    """One replicate's guidance context: the run's `ctx` itself, or, when
+    registration is on, `ctx` with an unguided reference docked into its map.
 
-    The reference draws from the RNG stream one past the sample indices.
+    The reference is drawn on `schedule` from the RNG stream one past the
+    sample indices.
     """
-    blur = BlurOperator(sigma_b=cfg.blur_sigma)
-    reference = None
-    if cfg.register:
-        ref_seed = _sample_seed(cfg.seed, rep, cfg.n_samples)
-        ref_coords = sample_unguided(prior, cfg.noise_schedule(), ref_seed)
-        ref_model = chain_template(ref_coords)
-        transform, score = dock_to_map(ref_model, dmap, cfg.resolution,
-                                       n_rotations=cfg.dock_rotations,
-                                       seed=cfg.seed)
-        reference = transform.apply(ref_coords)
-        log.info("replicate %d: docked reference, score %.4f, rotation %.2f deg",
-                 rep, score, transform.angle_degrees())
-    return GuidanceContext(target_map=dmap, target_cloud=cloud,
-                           resolution=cfg.resolution,
-                           sinkhorn=cfg.sinkhorn_config(), blur=blur,
-                           reference=reference)
+    if not cfg.register:
+        return ctx
+    ref_seed = _sample_seed(cfg.seed, rep, cfg.n_samples)
+    ref_coords = sample_unguided(prior, schedule, ref_seed)
+    transform, score = dock_to_map(chain_template(ref_coords), ctx.target_map,
+                                   ctx.resolution, n_rotations=cfg.dock_rotations,
+                                   seed=cfg.seed)
+    log.info("replicate %d: docked reference, score %.4f, rotation %.2f deg",
+             rep, score, transform.angle_degrees())
+    return replace(ctx, reference=transform.apply(ref_coords))
 
 
 def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
     """Every replicate and sample, the manifest and the summary.
 
-    Per-sample failures are logged and recorded; the run only fails outright
-    when nothing succeeds.
+    Set up in one pass: every setting, built once and kept; the input files;
+    one guidance context for every replicate; then the outputs.  Per-sample
+    failures are logged and recorded; the run only fails outright when
+    nothing succeeds.
     """
-    _check_run_shape(cfg)
-    if guided and not cfg.map:
-        raise ConfigError("config needs a map path")
-    if cfg.map and not os.path.exists(cfg.map):
-        raise ConfigError(f"map file not found: {cfg.map}")
-    dmap = read_mrc(cfg.map) if cfg.map else None
-    prior, template = _prior_and_template(cfg)
-    reference = read_pdb(cfg.reference) if cfg.reference else None
-    schedule = cfg.noise_schedule()
     # both commands reject invalid guidance, transport and blur settings,
     # though sample uses none of them
+    _check_run_shape(cfg)
+    schedule = cfg.noise_schedule()
     gsched = cfg.guidance_schedule()
-    cfg.sinkhorn_config()
+    sinkhorn = cfg.sinkhorn_config()
     try:
-        BlurOperator(sigma_b=cfg.blur_sigma)
+        blur = BlurOperator(sigma_b=cfg.blur_sigma)
     except ValueError as exc:
         raise ConfigError(f"blur_sigma: {exc}") from None
+    prior, template = _prior_and_template(cfg)
     if guided and gsched.n_steps != schedule.n_steps:
         raise ConfigError(f"guidance stages sum to {gsched.n_steps}, "
                           f"n_steps = {schedule.n_steps}")
+    if guided and not cfg.map:
+        raise ConfigError("config needs a map path")
 
-    cloud = None
-    if guided:   # one cloud serves every replicate
+    if cfg.map and not os.path.exists(cfg.map):
+        raise ConfigError(f"map file not found: {cfg.map}")
+    dmap = read_mrc(cfg.map) if cfg.map else None
+    if cfg.template:
+        template = read_pdb(cfg.template)
+        if len(template) != prior.n_atoms:
+            raise ConfigError(f"template atom count {len(template)} does not "
+                              f"match prior ({prior.n_atoms})")
+    reference = read_pdb(cfg.reference) if cfg.reference else None
+
+    run_ctx = None
+    if guided:   # one cloud and one context serve every replicate
         k = cfg.k_points or cluster_count(prior.n_atoms, dmap.voxel_size)
         cloud = extract_pointcloud(dmap, k, seed=cfg.seed)
+        run_ctx = GuidanceContext(target_map=dmap, target_cloud=cloud,
+                                  resolution=cfg.resolution, sinkhorn=sinkhorn,
+                                  blur=blur)
 
     os.makedirs(cfg.outdir, exist_ok=True)
     records: list[SampleRecord] = []
     for rep in range(cfg.n_replicates):
         rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
         os.makedirs(rep_dir, exist_ok=True)
-        ctx = build_context(cfg, dmap, cloud, prior, rep) if guided else None
+        ctx = build_context(cfg, run_ctx, prior, schedule, rep) if guided else None
         for j in range(cfg.n_samples):
             seed, seed_key = _sample_seed(cfg.seed, rep, j), f"{cfg.seed}:{rep}:{j}"
             try:
@@ -170,8 +181,8 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
 
 
 def run_guided(cfg: RunConfig) -> list[SampleRecord]:
-    """Density-guided run against `cfg.map`: one point cloud per run, one
-    guidance context per replicate."""
+    """Density-guided run against `cfg.map`: one point cloud and one guidance
+    context per run; a replicate adds only its docked reference."""
     return _run(cfg, guided=True)
 
 

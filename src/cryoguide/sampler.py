@@ -53,6 +53,8 @@ class NoiseSchedule:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.churn < 0:
             raise ValueError(f"churn must be >= 0, got {self.churn}")
+        if not 0 <= self.churn_floor < math.inf:     # NaN fails too
+            raise ValueError(f"churn_floor must be >= 0 and finite, got {self.churn_floor}")
         for name in ("sigma_max", "rho", "churn"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -198,7 +200,8 @@ def lambda_global(t: float, gsched: GuidanceSchedule) -> float:
 
 @dataclass(frozen=True)
 class GuidanceContext:
-    """Read-only inputs shared by every guided sample of a replicate."""
+    """Read-only inputs shared by every guided sample of a run; a registered
+    replicate swaps in only its own `reference`."""
     target_map: DensityMap
     target_cloud: PointCloud
     resolution: float

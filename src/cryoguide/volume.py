@@ -99,6 +99,8 @@ def read_mrc(path) -> DensityMap:
         if min(mx, my, mz) < 1:
             raise MapFormatError(f"{path}: non-positive sampling ({mx},{my},{mz})")
 
+        if not np.isfinite([xlen, ylen, zlen]).all():
+            raise MapFormatError(f"{path}: non-finite cell lengths ({xlen}, {ylen}, {zlen})")
         voxels = np.array([xlen / mx, ylen / my, zlen / mz])
         if voxels.min() <= 0:
             raise MapFormatError(f"{path}: non-positive voxel size {voxels}")

@@ -77,6 +77,13 @@ class TestRotationAbout:
         with pytest.raises(ValueError):
             rotation_about(np.zeros(3), 10.0)
 
+    @pytest.mark.parametrize("axis,degrees,bad", [
+        ([0.0, 0.0, 1.0], np.nan, "degrees"), ([0.0, 0.0, 1.0], np.inf, "degrees"),
+        ([0.0, np.nan, 1.0], 10.0, "axis"), ([np.inf, 0.0, 1.0], 10.0, "axis")])
+    def test_non_finite_argument_rejected(self, axis, degrees, bad):
+        with pytest.raises(ValueError, match=f"^rotation_about: {bad} must be finite"):
+            rotation_about(np.array(axis), degrees)
+
 
 class TestQuasiUniformRotations:
     def test_count_and_validity(self):

@@ -2,6 +2,7 @@
 
 import logging
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 from cryoguide import pipeline
 from cryoguide.cli import main
 from cryoguide.config import ConfigError, load_config
-from cryoguide.forward import grid_for_model, simulate_map
+from cryoguide.forward import BlurOperator, grid_for_model, simulate_map
 from cryoguide.priors import chain_template, hinged_chain_modes
-from cryoguide.sampler import SamplingError
+from cryoguide.sampler import GuidanceSchedule, NoiseSchedule, SamplingError
 from cryoguide.structure import read_pdb, write_pdb
+from cryoguide.transport import SinkhornConfig
 from cryoguide.volume import read_mrc
 
 
@@ -63,6 +65,21 @@ BAD_GUIDANCE = [(["schedule_kind=bogus"], "unknown schedule kind 'bogus'"),
                 (["churn=inf"], "churn must be finite, got inf"),
                 (["prior_tau=inf"], "mode std must be positive and finite, got inf"),
                 (["prior_hinge_deg=inf"], "hinge_deg must be finite, got inf"),
+                (["prior_tau=0"], "prior_tau: mode std must be positive and finite, got 0.0"),
+                (["prior_minor_weight=inf"],
+                 "prior_minor_weight: minor mode weight must be in (0, 1), got inf"),
+                (["prior_minor_weight=0"],
+                 "prior_minor_weight: minor mode weight must be in (0, 1), got 0.0"),
+                (["prior_minor_weight=1"],
+                 "prior_minor_weight: minor mode weight must be in (0, 1), got 1.0"),
+                (["prior_minor_weight=-0.5"],
+                 "prior_minor_weight: minor mode weight must be in (0, 1), got -0.5"),
+                (["prior=chain-single", "prior_minor_weight=2"],
+                 "prior_minor_weight: minor mode weight must be in (0, 1), got 2.0"),
+                (["prior=chain-single", "prior_hinge_deg=-inf"],
+                 "prior_hinge_deg: hinge_deg must be finite, got -inf"),
+                (["churn=0.4", "churn_floor=inf"], "churn_floor must be >= 0 and finite, got inf"),
+                (["churn_floor=-0.1"], "churn_floor must be >= 0 and finite, got -0.1"),
                 # transport, forward-model and seed settings, checked as early
                 (["reach=-5"], "reach must be >= 0 (0 = balanced), got -5.0"),
                 (["epsilon=0"], "epsilon must be positive, got 0.0"),
@@ -344,6 +361,63 @@ class TestGuide:
         cfg = base_config(workdir, tmp_path, extra="n_samples = 1\nn_replicates = 3\n")
         assert main(["guide", "--config", str(cfg)]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("register", [False, True])
+    def test_settings_and_context_built_once_per_run(self, workdir, tmp_path, monkeypatch,
+                                                     register):
+        built = Counter()
+
+        def count(owner, attr, key):
+            real = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                built[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+
+        for cls in (NoiseSchedule, GuidanceSchedule, SinkhornConfig, BlurOperator):
+            count(cls, "__post_init__", cls.__name__)
+        count(pipeline, "two_mode_chain_prior", "prior")
+        count(pipeline, "GuidanceContext", "GuidanceContext")
+        contexts = []
+        real_sample = pipeline.sample_guided
+
+        def recorded(prior, ctx, *args):
+            contexts.append(ctx)
+            return real_sample(prior, ctx, *args)
+        monkeypatch.setattr(pipeline, "sample_guided", recorded)
+        cfg = base_config(workdir, tmp_path, extra="n_samples = 1\nn_replicates = 3\n"
+                          f"register = {register}\ndock_rotations = 24\n")
+        assert main(["guide", "--config", str(cfg)]) == 0
+        assert built == {"NoiseSchedule": 1, "GuidanceSchedule": 1, "SinkhornConfig": 1,
+                         "BlurOperator": 1, "prior": 1, "GuidanceContext": 1}
+        first = contexts[0]
+        assert len(contexts) == 3
+        for ctx in contexts:
+            assert ctx.target_map is first.target_map
+            assert ctx.target_cloud is first.target_cloud
+            assert ctx.sinkhorn is first.sinkhorn and ctx.blur is first.blur
+        if register:    # only its docked reference sets a replicate's context apart
+            assert len({id(ctx) for ctx in contexts}) == 3
+            assert all(ctx.reference is not None for ctx in contexts)
+        else:
+            assert all(ctx is first for ctx in contexts)
+
+    @pytest.mark.parametrize("command,setting,message", [
+        (command, setting, message) for command in ("guide", "sample")
+        for setting, message in (
+            ("churn_floor=inf", "churn_floor must be >= 0 and finite, got inf"),
+            ("prior_tau=0", "prior_tau: mode std must be positive and finite, got 0.0"),
+            ("blur_sigma=-1", "blur_sigma: blur width must be finite and >= 0, got -1.0"))
+    ] + [("guide", "t_warm=99", "guidance stages sum to 114, n_steps = 40")])
+    def test_settings_checked_before_any_file(self, workdir, tmp_path, capsys,
+                                              command, setting, message):
+        cfg = base_config(workdir, tmp_path, extra=f"map = {tmp_path / 'missing.mrc'}\n")
+        assert main([command, "--config", str(cfg), "--set", setting]) == 1
+        assert message in capsys.readouterr().err
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"map file not found: {tmp_path / 'missing.mrc'}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key(self, workdir, tmp_path, capsys):
         cfg = base_config(workdir, tmp_path)

@@ -17,6 +17,7 @@ from cryoguide.metrics import rscc
 from cryoguide.pipeline import build_context, run_guided
 from cryoguide.pointcloud import extract_pointcloud
 from cryoguide.priors import chain_template, single_mode_chain_prior
+from cryoguide.sampler import GuidanceContext
 from cryoguide.structure import read_pdb, write_pdb
 from cryoguide.volume import write_mrc
 
@@ -55,20 +56,25 @@ def registered_config(root, outdir):
     )
 
 
+def run_context(cfg, dmap):
+    """The guidance context a run builds once, before its replicates."""
+    cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
+    return GuidanceContext(target_map=dmap, target_cloud=cloud, resolution=cfg.resolution,
+                           sinkhorn=cfg.sinkhorn_config())
+
+
 class TestBuildContext:
     def test_registration_off_has_no_reference(self, displaced_setup):
         root, _, dmap, prior = displaced_setup
         cfg = registered_config(root, root / "ctx")
         cfg.register = False
-        cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
-        ctx = build_context(cfg, dmap, cloud, prior, rep=0)
+        ctx = build_context(cfg, run_context(cfg, dmap), prior, cfg.noise_schedule(), rep=0)
         assert ctx.reference is None
 
     def test_registration_docks_reference(self, displaced_setup):
         root, truth, dmap, prior = displaced_setup
         cfg = registered_config(root, root / "ctx2")
-        cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
-        ctx = build_context(cfg, dmap, cloud, prior, rep=0)
+        ctx = build_context(cfg, run_context(cfg, dmap), prior, cfg.noise_schedule(), rep=0)
         assert ctx.reference is not None and ctx.reference.shape == (30, 3)
         # the docked unguided reference sits near the displaced truth without
         # any further alignment (the prior is tight, tau = 1)

@@ -68,6 +68,10 @@ class TestNoiseSchedule:
         for name in ("sigma_max", "rho", "churn"):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
                 NoiseSchedule(**{name: np.inf})
+        for floor in (np.inf, -0.1, np.nan):
+            with pytest.raises(ValueError, match="^churn_floor must be >= 0 and finite"):
+                NoiseSchedule(churn=0.4, churn_floor=floor)
+        assert NoiseSchedule(churn=0.4, churn_floor=0.0).churn_floor == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(1e-3, 1.0), st.floats(2.0, 500.0), st.floats(1.0, 10.0),

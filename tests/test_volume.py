@@ -4,6 +4,7 @@ The reader is checked against byte fixtures assembled by hand in the tests
 (independent of the writer), including permuted-axis files.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -116,6 +117,16 @@ class TestReadMrc:
         path = tmp_path / "nan-origin.mrc"
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=r"^origin must be finite, got \[nan nan nan\]$"):
+            read_mrc(path)
+
+    @pytest.mark.parametrize("length", [np.inf, np.nan])
+    def test_non_finite_cell_length_rejected(self, tmp_path, rng, length):
+        blob = bytearray(build_mrc_bytes(rng.standard_normal((3, 4, 5)), voxel=1.0))
+        struct.pack_into("<f", blob, 44, length)    # the y cell length
+        path = tmp_path / "bad-cell.mrc"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MapFormatError, match=re.escape(
+                f"{path}: non-finite cell lengths (3.0, {length}, 5.0)")):
             read_mrc(path)
 
     def test_bad_magic_rejected(self, tmp_path, rng):
