@@ -3,8 +3,9 @@
 Produces `<outdir>/rep<k>/sample<j>.pdb`, a tab-separated manifest with one
 row per sample, and a per-replicate best-of-N summary.  Per-sample RNG
 streams are derived from (seed, replicate, sample), so a config and its
-seed reproduce the same files.  Samples are drawn one after another in this
-process.
+seed reproduce the same files.  A replicate's samples are drawn in this
+process as one lockstep batch (see `sampler`), and each sample's bytes are
+those it has when drawn alone.
 """
 
 from __future__ import annotations
@@ -150,20 +151,24 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
         rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
         os.makedirs(rep_dir, exist_ok=True)
         ctx = build_context(cfg, run_ctx, prior, schedule, rep) if guided else None
-        for j in range(cfg.n_samples):
-            seed, seed_key = _sample_seed(cfg.seed, rep, j), f"{cfg.seed}:{rep}:{j}"
-            try:
-                if guided:
-                    model, stats = sample_guided(prior, ctx, schedule, gsched, template, seed)
-                else:
-                    model = template.with_coords(sample_unguided(prior, schedule, seed))
-                    stats = None
-            except Exception as exc:    # fails this sample alone
-                log.warning("rep %d sample %d failed: %s", rep, j, exc)
-                log.debug("rep %d sample %d failed", rep, j, exc_info=True)
-                records.append(SampleRecord(rep, j, seed_key, "", str(exc),
+        seeds = [_sample_seed(cfg.seed, rep, j) for j in range(cfg.n_samples)]
+        try:
+            if guided:
+                draws = sample_guided(prior, ctx, schedule, gsched, template, seeds)
+            else:
+                draws = [d if isinstance(d, Exception) else (template.with_coords(d), None)
+                         for d in sample_unguided(prior, schedule, seeds)]
+        except Exception as exc:    # fails every sample of the batch
+            draws = [exc] * cfg.n_samples
+        for j, draw in enumerate(draws):
+            seed_key = f"{cfg.seed}:{rep}:{j}"
+            if isinstance(draw, Exception):     # fails this sample alone
+                log.warning("rep %d sample %d failed: %s", rep, j, draw)
+                log.debug("rep %d sample %d failed", rep, j, exc_info=draw)
+                records.append(SampleRecord(rep, j, seed_key, "", str(draw),
                                             None, None))
                 continue
+            model, stats = draw
             path = os.path.join(rep_dir, f"sample{j}.pdb")
             write_pdb(model, path)
             cc = rscc(model, dmap, cfg.resolution) if dmap is not None else None
@@ -201,7 +206,9 @@ def _fmt_stats(stats: SampleStats | None) -> str:
     return (f", guidance evals {stats.global_evals} global + {stats.local_evals}"
             f" local, cross-term solves {stats.ot_cross_solves}"
             f" ({stats.ot_cross_iterations} iterations,"
-            f" {stats.ot_cross_unconverged} unconverged)")
+            f" {stats.ot_cross_unconverged} unconverged), self-term solves"
+            f" {stats.ot_self_solves} ({stats.ot_self_iterations} iterations,"
+            f" {stats.ot_self_unconverged} unconverged)")
 
 
 def _write_manifest(cfg: RunConfig, records: list[SampleRecord]) -> None:

@@ -5,13 +5,20 @@ Each step makes exactly one score evaluation; guidance displacements are
 added to the post-denoising update, evaluated at the Tweedie estimate.
 The guided run has four stages: warm-up (no guidance), global (point-cloud
 transport gradient), local (voxel density gradient), relax (no guidance).
+
+Samples are drawn as a lockstep batch: one (B, 3n) state, one score
+evaluation per step for the whole batch and one stacked cross-term solve
+per global step.  Every sample keeps its own random stream, frame, stats
+and failure, so its bytes are those it has when drawn alone.
 """
 
 from __future__ import annotations
 
 import abc
+import logging
 import math
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +28,8 @@ from .pointcloud import PointCloud
 from .structure import AtomicModel
 from .transport import SinkhornConfig, TransportPlan, divergence_grad
 from .volume import DensityMap
+
+log = logging.getLogger(__name__)
 
 
 class SamplingError(RuntimeError):
@@ -68,22 +77,25 @@ class NoiseSchedule:
         return np.concatenate([u ** self.rho, [0.0]])
 
 
-def _logsumexp(a: np.ndarray) -> np.floating:
-    """`scipy.special.logsumexp(a)` of a 1-D float64 array, bit for bit.
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """`scipy.special.logsumexp` of each row of a float64 array (its last
+    axis), bit for bit as SciPy takes that row alone.
 
     SciPy 1.17's formula without its array-API dispatch, which on the
     prior's few modes costs several times the arithmetic: the maximal
-    entries are counted in m and left out of the sum.  A non-finite result is recomputed as
-    log(sum(exp(a))), as SciPy does.  Call it with divide, overflow and
-    invalid-value warnings off, as SciPy runs it.
+    entries are counted in m and left out of the sum.  A non-finite result
+    is recomputed as log(sum(exp(row))), as SciPy does.  Call it with
+    divide, overflow and invalid-value warnings off, as SciPy runs it.
     """
-    a_max = a.max()
-    top = a == a_max
-    m = np.count_nonzero(top)
-    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+    # the ufuncs' own reduce: np.sum and the ndarray methods add a Python
+    # layer that costs more than the arithmetic on the prior's few modes
+    a_max = np.maximum.reduce(a, axis=-1)
+    top = a == a_max[..., None]
+    m = np.add.reduce(top, axis=-1)
+    s = np.add.reduce(np.exp(np.where(top, -np.inf, a) - a_max[..., None]), axis=-1)
     out = np.log1p(s / m) + np.log(m) + a_max
-    if not np.isfinite(out):
-        return np.log(np.sum(np.exp(a)))
+    if not np.isfinite(out).all():
+        out = np.where(np.isfinite(out), out, np.log(np.sum(np.exp(a), axis=-1)))
     return out
 
 
@@ -94,7 +106,8 @@ class ScoreModel(abc.ABC):
 
     @abc.abstractmethod
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        """Score of the sigma-noised distribution at flat coordinates x."""
+        """Score of the sigma-noised distribution at flat coordinates x, one
+        (3n,) point or a (B, 3n) batch of them; the result has x's shape."""
 
 
 class GaussianMixturePrior(ScoreModel):
@@ -133,16 +146,19 @@ class GaussianMixturePrior(ScoreModel):
         self.n_atoms = dim // 3
 
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        dim = x.size
+        x = np.asarray(x, dtype=np.float64)
+        dim = self.means.shape[1]
+        X = x.reshape(-1, dim)
         s2 = self.taus ** 2 + sigma ** 2
-        # a diverged x gives a non-finite score, which tweedie_estimate reports
+        # a diverged row gives a non-finite score, which the sampler reports;
+        # each row's bits are those of the row scored alone
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             logs = (self._log_weights
-                    - 0.5 * np.sum((x[None, :] - self.means) ** 2, axis=1) / s2
+                    - 0.5 * np.add.reduce((X[:, None, :] - self.means) ** 2, axis=2) / s2
                     - 0.5 * dim * np.log(s2))
-            r = np.exp(logs - _logsumexp(logs))
-            return ((r / s2)[:, None] * (self.means - x[None, :])).sum(axis=0)
+            r = np.exp(logs - _logsumexp(logs)[:, None])
+            out = np.add.reduce((r / s2)[:, :, None] * (self.means - X[:, None, :]), axis=1)
+        return out.reshape(x.shape)
 
     def mode_coords(self, m: int) -> np.ndarray:
         return self.means[m].reshape(-1, 3)
@@ -224,11 +240,18 @@ class SampleStats:
     ot_cross_solves: int = 0              # Sinkhorn cross-term solves
     ot_cross_iterations: int = 0          # their iterations, summed
     ot_cross_unconverged: int = 0         # those that hit max_iters
+    ot_self_solves: int = 0               # Sinkhorn self-term solves, likewise
+    ot_self_iterations: int = 0
+    ot_self_unconverged: int = 0
+    error: Exception | None = None        # what failed this sample, if anything
 
-    def record_cross_plan(self, plan: TransportPlan) -> None:
+    def record_plans(self, cross: TransportPlan, self_term: TransportPlan) -> None:
         self.ot_cross_solves += 1
-        self.ot_cross_iterations += plan.iterations
-        self.ot_cross_unconverged += not plan.converged
+        self.ot_cross_iterations += cross.iterations
+        self.ot_cross_unconverged += not cross.converged
+        self.ot_self_solves += 1
+        self.ot_self_iterations += self_term.iterations
+        self.ot_self_unconverged += not self_term.converged
 
 
 def tweedie_estimate(x: np.ndarray, sigma: float, model: ScoreModel) -> np.ndarray:
@@ -253,104 +276,221 @@ def gradient_normalize(grad: np.ndarray, reference_step: float) -> np.ndarray:
     return g * (reference_step / rms)
 
 
-def _integrate(model: ScoreModel, schedule: NoiseSchedule, seed, guide=None,
-               stats: SampleStats | None = None) -> np.ndarray:
-    """Reverse-process integration; one score evaluation per step.
+def _integrate(model: ScoreModel, schedule: NoiseSchedule, seeds, guide=None,
+               stats: list[SampleStats] | None = None):
+    """Reverse-process integration of a lockstep batch, one score evaluation
+    per step for all samples.
 
-    `guide(i, xhat, tweedie_disp, sigma_hat, sigma_next)` may return a
-    displacement (added to the updated state) or None when inactive.
+    Row b of the (B, 3n) state is the sample drawn from `seeds[b]` with its
+    own Generator, which draws in sample order each step, so its bytes do
+    not depend on the other rows.  `guide(i, xhat, tweedie_disp, sigma_hat,
+    sigma_next)` gets the rows of the samples still running and may return
+    a displacement for them (added to the updated state) or None when
+    inactive.  A sample whose score or coordinates turn non-finite, or
+    whose guidance fails (the guide sets the error in its stats), leaves
+    the batch with the error in its `SampleStats`, and its row of the
+    result is NaN.  Returns the (B, 3n) result, the stats and each step's
+    wall time.
     """
     sigmas = schedule.sigmas()
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stats = [SampleStats() for _ in rngs] if stats is None else stats
     n_dim = model.n_atoms * 3
-    x = rng.standard_normal(n_dim) * sigmas[0]
+    live = list(range(len(rngs)))   # the samples that the rows of x hold
+    x = np.stack([rng.standard_normal(n_dim) for rng in rngs]) * sigmas[0]
+    out = np.full_like(x, np.nan)
+    step_s = np.zeros(len(sigmas) - 1)
+
+    def drop(rows, error):
+        """Take rows out of the batch; `error()` becomes the failure of each
+        of their samples that has none recorded.  Returns the kept rows."""
+        nonlocal live
+        keep = np.ones(len(live), dtype=bool)
+        keep[rows] = False
+        for r in rows:
+            if stats[live[r]].error is None:
+                stats[live[r]].error = error()
+        live = [b for b, k in zip(live, keep) if k]
+        return keep
+
+    t0 = time.perf_counter()
     for i in range(len(sigmas) - 1):
         s, s_next = sigmas[i], sigmas[i + 1]
         gamma = schedule.churn if s > schedule.churn_floor else 0.0
         s_hat = s * (1.0 + gamma)
         if gamma > 0:
-            x = x + np.sqrt(s_hat ** 2 - s ** 2) * rng.standard_normal(n_dim)
-        x_hat = tweedie_estimate(x, s_hat, model)
-        if stats is not None:
-            stats.score_evals += 1
-        x_next = x + (s_next - s_hat) / s_hat * (x - x_hat)
-        if guide is not None:
+            noise = np.empty_like(x)
+            for r, b in enumerate(live):
+                rngs[b].standard_normal(out=noise[r])
+            x = x + np.sqrt(s_hat ** 2 - s ** 2) * noise
+        score = model.score(x, s_hat)
+        if not np.isfinite(score).all():
+            bad = ~np.isfinite(score).reshape(len(x), -1).all(axis=1)
+            keep = drop(np.flatnonzero(bad),
+                        lambda: SamplingError(f"non-finite score at sigma={s_hat:.6g}"))
+            x, score = x[keep], score[keep]
+        for b in live:
+            stats[b].score_evals += 1
+        # a diverging row overflows quietly and fails the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_hat = x + s_hat ** 2 * score
+            x_next = x + (s_next - s_hat) / s_hat * (x - x_hat)
+        if guide is not None and live:
             delta = guide(i, x_hat, x - x_hat, s_hat, s_next)
             if delta is not None:
-                x_next = x_next + np.asarray(delta).ravel()
-        if not np.all(np.isfinite(x_next)):
-            raise SamplingError(
-                f"non-finite coordinates at step {i} (sigma={s:.6g})")
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x_next = x_next + np.asarray(delta).reshape(x_next.shape)
+        bad = {r for r, b in enumerate(live) if stats[b].error is not None}
+        if not np.isfinite(x_next).all():
+            bad.update(np.flatnonzero(~np.isfinite(x_next).all(axis=1)).tolist())
+        if bad:
+            keep = drop(sorted(bad), lambda: SamplingError(
+                f"non-finite coordinates at step {i} (sigma={s:.6g})"))
+            x_next = x_next[keep]
         x = x_next
-    return x
+        t1 = time.perf_counter()
+        step_s[i], t0 = t1 - t0, t1
+        if not live:
+            break
+    out[live] = x
+    return out, stats, step_s
+
+
+def _batch(seed):
+    """The seeds of a call and whether they are a batch: a list or tuple of
+    seeds is one, anything else is one seed."""
+    if isinstance(seed, (list, tuple)):
+        return list(seed), True
+    return [seed], False
+
+
+def _outcomes(results, stats, batch):
+    """Each sample's result, or the exception that failed it; for one seed,
+    its result, or the exception raised."""
+    out = [st.error if st.error is not None else res for res, st in zip(results, stats)]
+    if batch:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
 
 def sample_unguided(model: ScoreModel, schedule: NoiseSchedule = NoiseSchedule(),
-                    seed=0) -> np.ndarray:
-    """Draw one unguided sample; returns (n_atoms, 3) coordinates."""
-    return _integrate(model, schedule, seed).reshape(-1, 3)
+                    seed=0):
+    """Draw one unguided sample as (n_atoms, 3) coordinates.  A list of
+    seeds draws a lockstep batch and returns, per seed, the coordinates or
+    the exception that failed that sample alone."""
+    seeds, batch = _batch(seed)
+    x, stats, _ = _integrate(model, schedule, seeds)
+    return _outcomes(x.reshape(len(seeds), -1, 3), stats, batch)
 
 
 def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
-                           amps: np.ndarray, stats: SampleStats):
-    """Build the staged guidance hook for one trajectory.
+                           amps: np.ndarray, stats: list[SampleStats]):
+    """Build the staged guidance hook for a batch of trajectories.
 
-    At entry to the global stage the denoised estimate is superposed onto the
-    docked reference (when one is provided); gradients are then evaluated in
-    the map frame and rotated back into the sampling frame.
+    At entry to the global stage each denoised estimate is superposed onto
+    the docked reference (when one is provided); gradients are then
+    evaluated in the map frame and rotated back into the sampling frame.
+    The global stage solves the batch's cross terms as one stack; the frame,
+    the self term and the local stage are per sample.  A sample whose
+    guidance raises records the error in its stats and gets no displacement.
     """
     t_w, t_g, t_l = gsched.t_warm, gsched.t_global, gsched.t_local
 
     def guide(i, x_hat, tweedie_disp, s_hat, s_next):
         if not (t_w <= i < t_w + t_g + t_l):
             return None
-        pts = x_hat.reshape(-1, 3)
-        if i == t_w and ctx.reference is not None:
-            stats.frame, _ = kabsch(pts, ctx.reference)
-        frame = stats.frame
-        world = frame.apply(pts) if frame is not None else pts
-        ref_step = float(np.sqrt(np.mean(
-            np.sum(tweedie_disp.reshape(-1, 3) ** 2, axis=1))))
+        live = [st for st in stats if st.error is None]   # the rows, in order
+        pts = x_hat.reshape(len(live), -1, 3)
+
+        def each(fn):
+            """fn(r, stats) for each row still running; a row whose call
+            raises gets None and records the error, which fails its sample
+            alone."""
+            out = [None] * len(live)
+            for r, st in enumerate(live):
+                if st.error is None:
+                    try:
+                        out[r] = fn(r, st)
+                    except Exception as exc:
+                        st.error = exc
+            return out
+
+        def to_map(r, st):
+            if i == t_w and ctx.reference is not None:
+                st.frame, _ = kabsch(pts[r], ctx.reference)
+            return st.frame.apply(pts[r]) if st.frame is not None else pts[r]
+
+        world = each(to_map)
         if i < t_w + t_g:
             lam = lambda_global(i - t_w, gsched)
             if lam == 0.0:
                 return None
-            grad = divergence_grad(PointCloud(world), ctx.target_cloud,
-                                   ctx.sinkhorn,
-                                   on_cross_plan=stats.record_cross_plan)
-            stats.global_evals += 1
+            clouds = each(lambda r, st: PointCloud(world[r]))
+            rows = [r for r, cloud in enumerate(clouds) if cloud is not None]
+            plans = []
+            grads = divergence_grad([clouds[r] for r in rows], ctx.target_cloud, ctx.sinkhorn,
+                                    on_plans=lambda *p: plans.append(p)) if rows else []
+            for r, p in zip(rows, plans):
+                live[r].record_plans(*p)
+                live[r].global_evals += 1
         else:
             lam = gsched.lambda_local
             if lam == 0.0:
                 return None
-            grad = density_loss_grad_coords(world, amps, ctx.target_map,
-                                            ctx.resolution, ctx.blur)
-            stats.local_evals += 1
-        if frame is not None:
-            grad = grad @ frame.rotation   # rotate back to the sampling frame
-        return (-lam * gradient_normalize(grad, ref_step)).ravel()
+            grads = each(lambda r, st: density_loss_grad_coords(
+                world[r], amps, ctx.target_map, ctx.resolution, ctx.blur))
+            rows = [r for r, grad in enumerate(grads) if grad is not None]
+            grads = [grads[r] for r in rows]
+            for r in rows:
+                live[r].local_evals += 1
+        delta = np.zeros_like(x_hat)
+        for r, grad in zip(rows, grads):
+            ref_step = float(np.sqrt(np.mean(
+                np.sum(tweedie_disp[r].reshape(-1, 3) ** 2, axis=1))))
+            frame = live[r].frame
+            if frame is not None:
+                grad = grad @ frame.rotation   # rotate back to the sampling frame
+            delta[r] = (-lam * gradient_normalize(grad, ref_step)).ravel()
+        return delta
 
     return guide
 
 
 def sample_guided(model: ScoreModel, ctx: GuidanceContext,
                   schedule: NoiseSchedule, gsched: GuidanceSchedule,
-                  template: AtomicModel, seed=0
-                  ) -> tuple[AtomicModel, SampleStats]:
+                  template: AtomicModel, seed=0):
     """Draw one density-guided sample onto the template's atoms, whose atomic
-    numbers are the splat amplitudes; returns the map-frame model and stats."""
+    numbers are the splat amplitudes; returns the map-frame model and stats.
+
+    A list of seeds draws a lockstep batch and returns, per seed, the
+    (model, stats) pair or the exception that failed that sample alone; one
+    info line gives the batch's wall time in each stage.
+    """
     if len(template) != model.n_atoms:
         raise ValueError(f"template has {len(template)} atoms, "
                          f"model expects {model.n_atoms}")
     if gsched.n_steps != schedule.n_steps:
         raise ValueError(f"guidance stages sum to {gsched.n_steps}, "
                          f"schedule has {schedule.n_steps} steps")
-    stats = SampleStats()
+    seeds, batch = _batch(seed)
+    stats = [SampleStats() for _ in seeds]
     guide = _make_multiscale_guide(ctx, gsched, template.atomic_numbers(), stats)
-    coords = _integrate(model, schedule, seed, guide=guide, stats=stats).reshape(-1, 3)
-    if stats.frame is not None:
-        coords = stats.frame.apply(coords)
-    return template.with_coords(coords), stats
+    x, _, step_s = _integrate(model, schedule, seeds, guide=guide, stats=stats)
+    stages = np.split(step_s, np.cumsum([gsched.t_warm, gsched.t_global, gsched.t_local]))
+    log.info("batch of %d samples: warm-up %.3f s, global %.3f s, local %.3f s, relax %.3f s",
+             len(seeds), *(part.sum() for part in stages))
+    models = []
+    for row, st in zip(x, stats):
+        if st.error is None:
+            coords = row.reshape(-1, 3)
+            if st.frame is not None:
+                coords = st.frame.apply(coords)
+            models.append((template.with_coords(coords), st))
+        else:
+            models.append(None)
+    return _outcomes(models, stats, batch)
 
 
 def gaussian_posterior_guidance(prior: GaussianMixturePrior,
@@ -378,7 +518,10 @@ def gaussian_posterior_guidance(prior: GaussianMixturePrior,
     return guide
 
 
-def sample_with_guide(model: ScoreModel, schedule: NoiseSchedule, seed,
-                      guide) -> np.ndarray:
-    """Draw one sample under an arbitrary guidance hook; (n_atoms, 3) output."""
-    return _integrate(model, schedule, seed, guide=guide).reshape(-1, 3)
+def sample_with_guide(model: ScoreModel, schedule: NoiseSchedule, seed, guide):
+    """Draw one sample under an arbitrary guidance hook; (n_atoms, 3) output.
+    A list of seeds draws a lockstep batch, as sample_unguided does; the
+    hook then sees the (B, 3n) rows of the samples still running."""
+    seeds, batch = _batch(seed)
+    x, stats, _ = _integrate(model, schedule, seeds, guide=guide)
+    return _outcomes(x.reshape(len(seeds), -1, 3), stats, batch)

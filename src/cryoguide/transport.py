@@ -24,7 +24,7 @@ iterations where the alternating updates need thousands.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +75,34 @@ def _masses(cloud: PointCloud, cfg: SinkhornConfig) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+# The solvers' loops reduce small arrays with the ufuncs' own reduce: the
+# ndarray methods and np.sum/np.max add a Python layer that costs about a
+# microsecond a call here, for the same bits.
+_sum = np.add.reduce
+_max = np.maximum.reduce
+
+
 def _lse(M, axis):
-    """logsumexp with max-subtraction; tolerates -inf entries (zero masses)."""
-    m = np.max(M, axis=axis, keepdims=True)
+    """logsumexp with max-subtraction; tolerates -inf entries (zero masses).
+    Call it with divide-by-zero warnings off."""
+    m = _max(M, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(M - m), axis=axis))
+    return np.squeeze(m, axis=axis) + np.log(_sum(np.exp(M - m), axis=axis))
 
 
 def _cost(X, Y):
-    """Half squared distances, the cost whose gradient divergence_grad takes."""
-    return 0.5 * np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=2)
+    """Half squared distances, the cost whose gradient divergence_grad takes:
+    (N, M) for one cloud X (N, 3), (B, N, M) for a stack X (B, N, 3).
+
+    The axes are added in place in the order x, y, z, as np.sum over a
+    length-3 axis takes them (the rule of pointcloud._assign), so the bits
+    are those of the broadcast form without its (..., N, M, 3) temporary.
+    """
+    d = (X[..., 0, None] - Y[:, 0]) ** 2
+    d += (X[..., 1, None] - Y[:, 1]) ** 2
+    d += (X[..., 2, None] - Y[:, 2]) ** 2
+    d *= 0.5
+    return d
 
 
 def _damp(cfg: SinkhornConfig) -> float:
@@ -111,23 +128,47 @@ _MAX_MOVE = 100.0
 
 def _schur_direction(d_big, d_small, K, r_big, r_small):
     """Solve [[diag(d_big), K], [K^T, diag(d_small)]] (u, v) = (r_big, r_small)
-    by eliminating the diagonal block: one dense solve on the small side.
-    Returns None when the direction is not finite."""
-    Kd = K / d_big[:, None]
-    S = np.diag(d_small) - K.T @ Kd
+    for each row of a stack by eliminating the diagonal block: one dense
+    solve on the small side per row.
+
+    Returns u, v and the rows whose direction is not finite, whose u and v
+    are zero.  A singular matrix fails its row alone.  Call it with divide,
+    overflow and invalid-value warnings off.
+    """
+    rows, k = d_small.shape
+    Kd = K / d_big[:, :, None]
+    S = np.zeros((rows, k, k))
+    S.reshape(rows, k * k)[:, ::k + 1] = d_small
+    S -= K.mT @ Kd
+    rhs = r_small - np.vecmat(r_big, Kd)
     try:
-        v = np.linalg.solve(S, r_small - Kd.T @ r_big)
-    except np.linalg.LinAlgError:
-        return None
-    u = (r_big - K @ v) / d_big
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        return None
-    return u, v
+        v = np.linalg.solve(S, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:   # raised for the whole stack
+        v = np.full((rows, k), np.nan)
+        for i in range(rows):
+            try:
+                v[i] = np.linalg.solve(S[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    u = (r_big - np.matvec(K, v)) / d_big
+    if np.isfinite(u).all() and np.isfinite(v).all():
+        return u, v, []
+    bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1))
+    u[bad] = 0.0
+    v[bad] = 0.0
+    return u, v, np.flatnonzero(bad).tolist()
 
 
 def _solve(X, a, Y, b, cfg: SinkhornConfig):
     """OT(X, Y): alternating warm-up sweeps, then damped Newton steps on the
     concave dual; a step that fails is replaced by one sweep.
+
+    X is one cloud (N, 3) with masses a (N,), or a stack (B, N, 3) with
+    masses (B, N), each against the cloud Y (M, 3) with masses b.  A stack
+    gives f (B, N), g (B, M), gamma (B, N, M) and per-row converged flags
+    and iteration counts.  Every row takes its own sweeps, Newton steps,
+    step halvings and stop, and leaves the stack when it converges, so its
+    result is bitwise that of its cloud solved alone.
 
     The dual's gradient is the marginal residual (a e^{-f/rho} - gamma 1,
     b e^{-g/rho} - gamma^T 1), with a and b in place of the exponentials
@@ -137,90 +178,145 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
     solve regular where the balanced gauge (f + c, g - c) or an underflowed
     coupling between groups of points leaves the Hessian singular; the
     resulting long steps are capped at `_MAX_MOVE * eps` and then halved
-    until the dual rises enough (Armijo) or the residual falls.  Trial
-    points that overflow are rejected without warnings.
+    until the dual rises enough (Armijo) or the residual falls.  The solve
+    runs with overflow warnings off: a trial point that overflows is
+    rejected, a direction that is not finite gives a sweep, and a sweep
+    that overflows leaves a residual that never meets `tol`.
     """
+    single = X.ndim == 2
+    if single:
+        X, a = X[None], a[None]
     eps = cfg.epsilon
     balanced = cfg.balanced
     rho = None if balanced else cfg.reach ** 2
     C = _cost(X, Y)
     with np.errstate(divide="ignore"):
-        la = np.log(a)[:, None]
-        lb = np.log(b)[None, :]
+        la = np.log(a)[:, :, None]
+        lb = np.log(b)
     damp = _damp(cfg)
-    n, m = C.shape
+    B, n, m = C.shape
 
     # g-independent / f-independent parts of the update arguments
-    fk = lb - C / eps
-    gk = la - C / eps
-    pk = la + lb - C / eps   # log-plan = pk + f/eps + g/eps
+    Ce = C / eps
+    fk = lb - Ce
+    gk = la - Ce
+    pk = la + lb - Ce   # log-plan = pk + f/eps + g/eps
 
-    def point(f, g):
+    def point(f, g, rows=None):
         """Dual value (up to a constant), the f and g halves of the marginal
-        residual and its largest magnitude, plan and relaxed marginals at
-        (f, g); overflow gives a non-finite value or residual."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            gamma = np.exp(pk + (f[:, None] + g[None, :]) / eps)
-            if balanced:
-                ua, ub = a, b
-                value = a @ f + b @ g - eps * gamma.sum()
-            else:
-                ua = a * np.exp(-f / rho)
-                ub = b * np.exp(-g / rho)
-                value = -rho * (ua.sum() + ub.sum()) - eps * gamma.sum()
-            rf = ua - gamma.sum(axis=1)
-            rg = ub - gamma.sum(axis=0)
+        residual and its largest magnitude, plan and relaxed marginals
+        (None when balanced) at (f, g) for all rows or the given ones;
+        overflow gives a non-finite value or residual."""
+        ar, pkr = (a, pk) if rows is None else (a[rows], pk[rows])
+        gamma = np.exp(pkr + (f[:, :, None] + g[:, None, :]) / eps)
+        if balanced:
+            ua = ub = None
+            value = np.vecdot(ar, f) + np.vecdot(b, g) - eps * _sum(gamma, axis=(1, 2))
+            rf = ar - _sum(gamma, axis=2)
+            rg = b - _sum(gamma, axis=1)
+        else:
+            ua = ar * np.exp(-f / rho)
+            ub = b * np.exp(-g / rho)
+            value = (-rho * (_sum(ua, axis=1) + _sum(ub, axis=1))
+                     - eps * _sum(gamma, axis=(1, 2)))
+            rf = ua - _sum(gamma, axis=2)
+            rg = ub - _sum(gamma, axis=1)
         # np.maximum, not max: a NaN in either half must carry through
-        res = np.maximum(np.abs(rf).max(), np.abs(rg).max())
+        res = np.maximum(_max(np.abs(rf), axis=1), _max(np.abs(rg), axis=1))
         return value, rf, rg, res, gamma, ua, ub
 
     def newton(f, g, value, rf, rg, res, gamma, ua, ub):
+        """One damped Newton step per row: the new (f, g), their point and
+        the rows that did not take it, which need a sweep."""
         K = gamma / eps
-        hf, hg = K.sum(axis=1), K.sum(axis=0)
+        hf, hg = _sum(K, axis=2), _sum(K, axis=1)
         if not balanced:
             hf = hf + ua / rho
             hg = hg + ub / rho
-        ridge = _RIDGE * max(hf.max(), hg.max())
+        ridge = (_RIDGE * np.maximum(_max(hf, axis=1), _max(hg, axis=1)))[:, None]
         if n >= m:
-            d = _schur_direction(hf + ridge, hg + ridge, K, rf, rg)
+            df, dg, failed = _schur_direction(hf + ridge, hg + ridge, K, rf, rg)
         else:
-            d = _schur_direction(hg + ridge, hf + ridge, K.T, rg, rf)
-            d = None if d is None else d[::-1]
-        if d is None:
-            return None
-        df, dg = d
-        slope = rf @ df + rg @ dg
-        move = max(np.abs(df).max(), np.abs(dg).max())
-        t = 1.0 if move <= _MAX_MOVE * eps else _MAX_MOVE * eps / move
+            dg, df, failed = _schur_direction(hg + ridge, hf + ridge, K.mT, rg, rf)
+        slope = (np.vecdot(rf, df) + np.vecdot(rg, dg)).tolist()
+        move = np.maximum(_max(np.abs(df), axis=1), _max(np.abs(dg), axis=1)).tolist()
+        cap = _MAX_MOVE * eps
+        t = [1.0 if mv <= cap else cap / mv for mv in move]
+        value, res = value.tolist(), res.tolist()
+        searching = [i for i in range(len(f)) if i not in failed]
+        # each trial evaluates every row, an accepted one at its accepted
+        # step, so the last trial holds every accepted point
         for _ in range(_MAX_HALVINGS):
-            ft, gt = f + t * df, g + t * dg
+            tc = np.array(t)[:, None]
+            ft, gt = f + tc * df, g + tc * dg
             trial = point(ft, gt)
-            value_t, res_t = trial[0], trial[3]
+            value_t, res_t = trial[0].tolist(), trial[3].tolist()
             # the residual test accepts steps whose rise in the dual is
             # below float resolution at tight tolerances
-            if np.isfinite(value_t) and np.isfinite(res_t) and (
-                    value_t >= value + _ARMIJO * t * slope or res_t < res):
-                return ft, gt, trial
-            t *= 0.5
-        return None
+            searching = [i for i in searching if not (
+                math.isfinite(value_t[i]) and math.isfinite(res_t[i]) and (
+                    value_t[i] >= value[i] + _ARMIJO * t[i] * slope[i]
+                    or res_t[i] < res[i]))]
+            if not searching:
+                break
+            for i in searching:
+                t[i] *= 0.5
+        return ft, gt, trial, sorted(failed + searching)
 
-    f = np.zeros(n)
-    g = np.zeros(m)
+    live = np.arange(B)   # the samples that the rows below hold
+    finished = []         # (samples, f, g, gamma, converged, iterations)
+    f = np.zeros((B, n))
+    g = np.zeros((B, m))
     state = None   # point(f, g)
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        step = newton(f, g, *state) if it > _WARMUP_SWEEPS else None
-        if step is None:
-            f = -damp * eps * _lse(fk + g[None, :] / eps, axis=1)
-            g = -damp * eps * _lse(gk + f[:, None] / eps, axis=0)
-            state = point(f, g)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, cfg.max_iters + 1):
+            sweep = None   # the rows that take a sweep: None for all
+            if it > _WARMUP_SWEEPS:
+                ft, gt, trial, sweep = newton(f, g, *state)
+                if not sweep:
+                    f, g, state = ft, gt, trial
+                else:
+                    took = np.ones(len(f), dtype=bool)
+                    took[sweep] = False
+                    f, g = np.where(took[:, None], ft, f), np.where(took[:, None], gt, g)
+                    state = [None if x is None else
+                             np.where(took.reshape(-1, *[1] * (x.ndim - 1)), x, y)
+                             for x, y in zip(trial, state)]
+            if sweep is None or sweep:
+                rows = slice(None) if sweep is None else sweep
+                fs = -damp * eps * _lse(fk[rows] + g[rows][:, None, :] / eps, axis=2)
+                gs = -damp * eps * _lse(gk[rows] + fs[:, :, None] / eps, axis=1)
+                swept = point(fs, gs, sweep)
+                if sweep is None:
+                    f, g, state = fs, gs, swept
+                else:
+                    f[sweep], g[sweep] = fs, gs
+                    for x, y in zip(state, swept):
+                        if x is not None:
+                            x[sweep] = y
+            done = [r < cfg.tol for r in state[3].tolist()]
+            if all(done):
+                finished.append((live, f, g, state[4], True, it))
+                break
+            if any(done):
+                done = np.array(done)
+                finished.append((live[done], f[done], g[done], state[4][done], True, it))
+                keep = ~done
+                live, f, g, fk, gk, pk, a = (x[keep] for x in (live, f, g, fk, gk, pk, a))
+                state = [None if x is None else x[keep] for x in state]
         else:
-            f, g, state = step
-        if state[3] < cfg.tol:
-            converged = True
-            break
-    return f, g, state[4], converged, it
+            finished.append((live, f, g, state[4], False, cfg.max_iters))
+
+    if len(finished) == 1:   # every row stopped together
+        _, f, g, gamma, conv, it = finished[0]
+        if single:
+            return f[0], g[0], gamma[0], conv, it
+        return f, g, gamma, np.full(B, conv), np.full(B, it)
+    f, g, gamma = np.empty((B, n)), np.empty((B, m)), np.empty((B, n, m))
+    converged, iterations = np.empty(B, dtype=bool), np.empty(B, dtype=int)
+    for rows, *parts in finished:
+        f[rows], g[rows], gamma[rows], converged[rows], iterations[rows] = parts
+    return f, g, gamma, converged, iterations
 
 
 def _solve_self(X, a, cfg: SinkhornConfig):
@@ -240,13 +336,14 @@ def _solve_self(X, a, cfg: SinkhornConfig):
     f = np.zeros(len(X))
     converged = False
     it = 0
-    for it in range(1, cfg.max_iters + 1):
-        f_new = 0.5 * (f - damp * eps * _lse(fk + f[None, :] / eps, axis=1))
-        err = np.max(np.abs(f_new - f))
-        f = f_new
-        if err < cfg.tol:
-            converged = True
-            break
+    with np.errstate(divide="ignore"):
+        for it in range(1, cfg.max_iters + 1):
+            f_new = 0.5 * (f - damp * eps * _lse(fk + f[None, :] / eps, axis=1))
+            err = _max(np.abs(f_new - f))
+            f = f_new
+            if err < cfg.tol:
+                converged = True
+                break
     gamma = np.exp(la[:, None] + la[None, :]
                    + (f[:, None] + f[None, :] - C) / eps)
     return f, gamma, converged, it
@@ -292,25 +389,38 @@ def sinkhorn_divergence(X: PointCloud, Y: PointCloud,
     return cxy - 0.5 * cxx - 0.5 * cyy
 
 
-def divergence_grad(X: PointCloud, Y: PointCloud,
+def divergence_grad(X: PointCloud | Sequence[PointCloud], Y: PointCloud,
                     cfg: SinkhornConfig = SinkhornConfig(),
-                    on_cross_plan: Callable[[TransportPlan], None] | None = None
-                    ) -> np.ndarray:
+                    on_plans: Callable[[TransportPlan, TransportPlan], None] | None = None
+                    ) -> np.ndarray | list[np.ndarray]:
     """Gradient of sinkhorn_divergence with respect to the X positions.
 
     Envelope form: the converged plans are held fixed, so for the half-sum
     of squared distances cost the cross term contributes
     sum_j gamma_ij (x_i - y_j) and the (symmetric) self term twice that
-    with Y = X.  Exact at convergence.  `on_cross_plan`, when given, is
-    called with the cross term's TransportPlan, so a caller can keep its
-    iteration count and convergence flag.
+    with Y = X.  Exact at convergence.
+
+    X is one cloud, or a sequence of clouds of one size, which gives a list
+    of gradients: their cross terms against Y are solved as one stack, each
+    bitwise its own solve, and their self terms one cloud at a time.
+    `on_plans`, when given, is called with each cloud's cross-term and
+    self-term TransportPlans in order, so a caller can keep their iteration
+    counts and convergence flags.
     """
-    _, pxy = ot_epsilon(X, Y, cfg)
-    if on_cross_plan is not None:
-        on_cross_plan(pxy)
-    _, pxx = ot_epsilon(X, X, cfg)
-    P = X.points
+    clouds = [X] if isinstance(X, PointCloud) else list(X)
     Q = Y.points
-    gx = pxy.gamma.sum(axis=1)[:, None] * P - pxy.gamma @ Q
-    gxx = 2.0 * (pxx.gamma.sum(axis=1)[:, None] * P - pxx.gamma @ P)
-    return gx - 0.5 * gxx
+    F, G, gammas, converged, iterations = _solve(
+        np.stack([c.points for c in clouds]), np.stack([_masses(c, cfg) for c in clouds]),
+        Q, _masses(Y, cfg), cfg)
+    grads = []
+    for k, c in enumerate(clouds):
+        gamma = gammas[k]
+        _, pxx = ot_epsilon(c, c, cfg)
+        if on_plans is not None:
+            on_plans(TransportPlan(gamma=gamma, f=F[k], g=G[k], converged=bool(converged[k]),
+                                   iterations=int(iterations[k])), pxx)
+        P = c.points
+        gx = gamma.sum(axis=1)[:, None] * P - gamma @ Q
+        gxx = 2.0 * (pxx.gamma.sum(axis=1)[:, None] * P - pxx.gamma @ P)
+        grads.append(gx - 0.5 * gxx)
+    return grads[0] if isinstance(X, PointCloud) else grads

@@ -105,8 +105,7 @@ def test_criterion_01_minority_mode_recovery(demo, tmp_path):
     guided = minority_hits([read_pdb(r.path).coords() for r in records])
     sched = cfg.noise_schedule()
     seeds = np.random.SeedSequence(20260825).spawn(50)
-    unguided = minority_hits([sample_unguided(prior, sched, s)
-                              for s in seeds])
+    unguided = minority_hits(sample_unguided(prior, sched, seeds))
     elapsed = time.perf_counter() - t0
 
     with criterion(1, "density guidance recovers the minority conformation") as info:
@@ -132,8 +131,9 @@ def test_criterion_02_gaussian_posterior_oracle():
 
     sched = NoiseSchedule(sigma_min=0.01, sigma_max=40.0, n_steps=100)
     guide = gaussian_posterior_guidance(prior, y, obs_std)
-    draws = np.array([sample_with_guide(prior, sched, s, guide).ravel()
-                      for s in np.random.SeedSequence(4242).spawn(500)])
+    # one lockstep batch; each draw is bitwise the one drawn alone
+    draws = np.array([d.ravel() for d in sample_with_guide(
+        prior, sched, np.random.SeedSequence(4242).spawn(500), guide)])
     se = np.sqrt(post_var / len(draws))
     dev = np.abs(draws.mean(axis=0) - post_mean) / se
 

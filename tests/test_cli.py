@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cryoguide import pipeline
+from cryoguide import pipeline, sampler
 from cryoguide.cli import main
 from cryoguide.config import ConfigError, load_config
 from cryoguide.forward import BlurOperator, grid_for_model, simulate_map
@@ -333,14 +333,18 @@ class TestGuide:
         assert not list(outdir.rglob("*.pdb"))
 
     def test_unexpected_error_fails_one_sample(self, workdir, tmp_path, monkeypatch):
-        real = pipeline.sample_guided
+        # a replicate's samples share one batch; each local step evaluates
+        # them in order, so the second call is rep 0's sample 1
+        real = sampler.density_loss_grad_coords
+        calls = []
 
-        def fail_rep0_sample1(prior, ctx, schedule, gsched, template, seed):
-            if seed.spawn_key == (0, 1):
+        def fail_rep0_sample1(*args):
+            calls.append(args)
+            if len(calls) == 2:
                 raise RuntimeError("stub failure")
-            return real(prior, ctx, schedule, gsched, template, seed)
+            return real(*args)
 
-        monkeypatch.setattr(pipeline, "sample_guided", fail_rep0_sample1)
+        monkeypatch.setattr(sampler, "density_loss_grad_coords", fail_rep0_sample1)
         assert main(["guide", "--config", str(base_config(workdir, tmp_path))]) == 0
         outdir = tmp_path / "out"
         rows = [r.split("\t") for r in
@@ -469,17 +473,23 @@ class TestGuide:
 
     def test_log_reports_sample_stats(self, workdir, tmp_path, caplog):
         cfg = base_config(workdir, tmp_path, extra="n_replicates = 1\n")
-        with caplog.at_level(logging.INFO, logger="cryoguide.pipeline"):
+        with caplog.at_level(logging.INFO, logger="cryoguide"):
             assert main(["guide", "--config", str(cfg)]) == 0
-        lines = [r.getMessage() for r in caplog.records
-                 if r.getMessage().startswith("rep 0 sample ")]
+        messages = [r.getMessage() for r in caplog.records]
+        lines = [m for m in messages if m.startswith("rep 0 sample ")]
         assert len(lines) == 2
         pattern = (r"rep 0 sample \d: rscc 0\.\d{6}, guidance evals 5 global \+ 5 local, "
-                   r"cross-term solves 5 \((\d+) iterations, 0 unconverged\)")
+                   r"cross-term solves 5 \((\d+) iterations, 0 unconverged\), "
+                   r"self-term solves 5 \((\d+) iterations, 0 unconverged\)")
         for line in lines:
             match = re.fullmatch(pattern, line)
             assert match, line
-            assert int(match.group(1)) >= 5
+            assert int(match.group(1)) >= 5 and int(match.group(2)) >= 5
+        # the replicate's one batch logs its wall time in each stage
+        stages = [m for m in messages if m.startswith("batch of ")]
+        assert len(stages) == 1
+        assert re.fullmatch(r"batch of 2 samples: warm-up \d+\.\d{3} s, global \d+\.\d{3} s, "
+                            r"local \d+\.\d{3} s, relax \d+\.\d{3} s", stages[0])
 
 
 class TestSampleCommand:
@@ -542,10 +552,10 @@ class TestSampleCommand:
     def test_failed_draw_fails_one_sample(self, workdir, tmp_path, monkeypatch):
         real = pipeline.sample_unguided
 
-        def fail_rep0_sample1(prior, schedule, seed):
-            if seed.spawn_key == (0, 1):
-                raise SamplingError("stub failure")
-            return real(prior, schedule, seed)
+        def fail_rep0_sample1(prior, schedule, seeds):
+            draws = real(prior, schedule, seeds)
+            return [SamplingError("stub failure") if seed.spawn_key == (0, 1) else draw
+                    for seed, draw in zip(seeds, draws)]
 
         monkeypatch.setattr(pipeline, "sample_unguided", fail_rep0_sample1)
         assert main(["sample", "--config", str(base_config(workdir, tmp_path))]) == 0

@@ -1,11 +1,14 @@
 """Sampling engine tests: schedules, analytic priors, guidance plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from cryoguide import sampler as sampler_module
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.pointcloud import extract_pointcloud
 from cryoguide.priors import chain_template, two_mode_chain_prior
@@ -162,6 +165,8 @@ class TestLogSumExp:
                 assert bits(logsumexp(row)) == bits(w)
             got = np.array([_logsumexp(row) for row in a])
             assert np.count_nonzero(bits(got) != bits(want)) == 0
+            # and all rows at once, as a batch of samples scores them
+            assert np.count_nonzero(bits(_logsumexp(a)) != bits(want)) == 0
 
     @pytest.mark.parametrize("a", [
         [-np.inf], [-np.inf, -np.inf], [-np.inf, 1.5], [2.0, -np.inf, 2.0],
@@ -172,6 +177,13 @@ class TestLogSumExp:
         a = np.array(a, dtype=np.float64)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             assert bits(_logsumexp(a)) == bits(logsumexp(a))
+
+
+    def test_batch_with_non_finite_rows(self):
+        a = np.array([[-np.inf, 1.5], [np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308],
+                      [2.0, 3.0], [-np.inf, -np.inf]])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            assert (bits(_logsumexp(a)) == bits(logsumexp(a, axis=1))).all()
 
 
 def scipy_score(prior, x, sigma):
@@ -334,9 +346,9 @@ class TestIntegration:
         mu = np.array([1.0, -1.0, 2.0, 0.0, 3.0, -2.0])
         tau = 1.3
         prior = GaussianMixturePrior([(mu, tau, 1.0)])
-        draws = np.array([sample_unguided(prior, schedule=SMALL_SCHED,
-                                          seed=s).ravel()
-                          for s in range(150)])
+        # one lockstep batch; each draw is bitwise the one drawn alone
+        draws = np.array([d.ravel() for d in
+                          sample_unguided(prior, schedule=SMALL_SCHED, seed=list(range(150)))])
         se_mean = tau / np.sqrt(150)
         assert np.all(np.abs(draws.mean(axis=0) - mu) < 5 * se_mean)
         pooled_std = (draws - mu).std()
@@ -446,6 +458,8 @@ class TestGuidedTrajectory:
         assert stats.ot_cross_unconverged == 0
         assert stats.ot_cross_solves <= stats.ot_cross_iterations \
             <= 60 * stats.ot_cross_solves
+        assert stats.ot_self_solves == 25 and stats.ot_self_unconverged == 0
+        assert stats.ot_self_solves <= stats.ot_self_iterations
 
     def test_sample_guided_writes_template(self):
         prior, template, ctx = two_atom_system()
@@ -479,8 +493,8 @@ class TestExactPosteriorGuidance:
         prior = GaussianMixturePrior([(mu, tau, 1.0)])
         sched = NoiseSchedule(sigma_min=0.01, sigma_max=40.0, n_steps=100)
         guide = gaussian_posterior_guidance(prior, y, s_obs)
-        draws = np.array([sample_with_guide(prior, sched, s, guide).ravel()
-                          for s in range(250)])
+        draws = np.array([d.ravel() for d in
+                          sample_with_guide(prior, sched, list(range(250)), guide)])
         post_mean = y * tau ** 2 / (tau ** 2 + s_obs ** 2)
         post_var = tau ** 2 * s_obs ** 2 / (tau ** 2 + s_obs ** 2)
         se = np.sqrt(post_var / 250)
@@ -495,3 +509,169 @@ class TestGuidanceContext:
                                target_cloud=ctx.target_cloud, resolution=2.0,
                                reference=np.arange(6.0))
         assert ctx2.reference.shape == (2, 3)
+
+
+def demo_context(reference=None):
+    """The criterion-01 demo's prior, template and guidance context, at a
+    40-step schedule with churn, optionally with a reference frame."""
+    prior, template = two_mode_chain_prior()
+    minority = chain_template(prior.mode_coords(1))
+    dmap = simulate_map(minority, grid_for_model(minority, 1.0, pad=4.0),
+                        resolution=2.0)
+    ctx = GuidanceContext(target_map=dmap,
+                          target_cloud=extract_pointcloud(dmap, 7, seed=0),
+                          resolution=2.0, reference=reference,
+                          sinkhorn=SinkhornConfig(epsilon=1.0, reach=40.0))
+    return prior, template, ctx
+
+
+DEMO_SCHED = NoiseSchedule(sigma_min=0.064, sigma_max=2560.0, n_steps=40, churn=0.4)
+DEMO_STAGES = GuidanceSchedule(25, 5, 5, 5)
+SEEDS = np.random.SeedSequence(314).spawn(7)
+
+
+def stats_key(stats):
+    """SampleStats as comparable bytes: its counts, frame and error."""
+    fields = dict(vars(stats))
+    frame = fields.pop("frame")
+    error = fields.pop("error")
+    return (fields, None if frame is None else
+            (frame.rotation.tobytes(), frame.translation.tobytes()), repr(error))
+
+
+def batches_holding(j):
+    """Batches of 2, 3 and 7 seeds that hold seed j at different places."""
+    others = [k for k in range(7) if k != j]
+    return [[SEEDS[others[0]], SEEDS[j]], [SEEDS[j]] + [SEEDS[k] for k in others[3:5]],
+            list(SEEDS)]
+
+
+class TestLockstepBatch:
+    """Sample j drawn alone has the bytes it has in any batch."""
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_guided(self, with_reference):
+        minority = two_mode_chain_prior()[0].mode_coords(1)
+        prior, template, ctx = demo_context(minority + 0.5 if with_reference else None)
+        for j in (0, 4):
+            alone, stats = sample_guided(prior, ctx, DEMO_SCHED, DEMO_STAGES, template, SEEDS[j])
+            assert (stats.frame is not None) == with_reference
+            for seeds in batches_holding(j):
+                model, got = sample_guided(prior, ctx, DEMO_SCHED, DEMO_STAGES, template,
+                                           seeds)[seeds.index(SEEDS[j])]
+                assert model.coords().tobytes() == alone.coords().tobytes()
+                assert stats_key(got) == stats_key(stats)
+
+    def test_unguided_with_churn(self):
+        prior, _ = two_mode_chain_prior()
+        for j in (1, 6):
+            alone = sample_unguided(prior, DEMO_SCHED, SEEDS[j])
+            for seeds in batches_holding(j):
+                got = sample_unguided(prior, DEMO_SCHED, seeds)[seeds.index(SEEDS[j])]
+                assert got.tobytes() == alone.tobytes()
+
+    def test_exact_posterior_guidance(self):
+        prior = GaussianMixturePrior([(np.zeros(6), 1.0, 1.0)])
+        guide = gaussian_posterior_guidance(prior, np.linspace(-1, 1, 6), 0.5)
+        for j in (2, 3):
+            alone = sample_with_guide(prior, DEMO_SCHED, SEEDS[j], guide)
+            for seeds in batches_holding(j):
+                got = sample_with_guide(prior, DEMO_SCHED, seeds, guide)
+                assert got[seeds.index(SEEDS[j])].tobytes() == alone.tobytes()
+
+    def test_score_rows_are_scored_alone(self):
+        prior, _ = two_mode_chain_prior()
+        x = prior.means[1] + np.random.default_rng(1).normal(0, 5, (9, prior.means.shape[1]))
+        for sigma in (0.1, 3.0, 300.0):
+            batch = prior.score(x, sigma)
+            assert batch.shape == x.shape
+            for row, want in zip(batch, x):
+                assert bits(row).tobytes() == bits(prior.score(want, sigma)).tobytes()
+
+
+class TestBatchFailures:
+    """A sample that fails leaves its batch with the error it gives alone;
+    the others keep their bytes, and nothing warns."""
+
+    def draw_all(self, draw):
+        alone = []
+        for seed in SEEDS:
+            try:
+                alone.append(draw(seed))
+            except Exception as exc:
+                alone.append(exc)
+        return alone, draw(list(SEEDS))
+
+    def check(self, alone, batch):
+        for a, b in zip(alone, batch):
+            if isinstance(a, Exception):
+                assert type(b) is type(a) and str(b) == str(a)
+            else:   # coordinates, or a (model, stats) pair
+                a, b = (a[0].coords(), b[0].coords()) if isinstance(a, tuple) else (a, b)
+                assert b.tobytes() == a.tobytes()
+
+    def test_non_finite_coordinates(self):
+        prior, _ = two_mode_chain_prior()
+
+        def guide(i, x_hat, tweedie_disp, s_hat, s_next):
+            # at step 12, the rows whose noisy first coordinate is positive:
+            # a property of each sample alone
+            trips = (i == 12) & ((x_hat + tweedie_disp)[:, :1] > 0)
+            return np.where(trips, np.inf, 0.0) * np.ones_like(x_hat)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone, batch = self.draw_all(lambda s: sample_with_guide(prior, DEMO_SCHED, s, guide))
+        failed = [a for a in alone if isinstance(a, SamplingError)]
+        assert 0 < len(failed) < 7
+        assert all(str(a).startswith("non-finite coordinates at step 12 ") for a in failed)
+        self.check(alone, batch)
+
+    def test_non_finite_score(self):
+        prior, _ = two_mode_chain_prior()
+
+        class Breaks(ScoreModel):
+            """The prior, but NaN at the 10th step for rows whose noisy first
+            coordinate is positive."""
+            n_atoms = prior.n_atoms
+            calls = 0
+
+            def score(self, x, sigma):
+                self.calls += 1
+                s = prior.score(x, sigma)
+                if self.calls == 10:
+                    s[x[:, 0] > 0] = np.nan
+                return s
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone, batch = self.draw_all(lambda s: sample_unguided(Breaks(), DEMO_SCHED, s))
+        failed = [a for a in alone if isinstance(a, SamplingError)]
+        assert 0 < len(failed) < 7
+        assert all(str(a).startswith("non-finite score at sigma=") for a in failed)
+        self.check(alone, batch)
+
+    def test_guidance_error_fails_its_sample_alone(self, monkeypatch):
+        prior, template, ctx = demo_context()
+        real = sampler_module.density_loss_grad_coords
+
+        def local_step(coords, *args):
+            # a property of the sample's own coordinates, true for about
+            # one call in five
+            if int(abs(coords[0, 0]) * 1e6) % 5 == 0:
+                raise RuntimeError(f"stub failure at {coords[0, 0]!r}")
+            return real(coords, *args)
+
+        monkeypatch.setattr(sampler_module, "density_loss_grad_coords", local_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone, batch = self.draw_all(lambda s: sample_guided(
+                prior, ctx, DEMO_SCHED, DEMO_STAGES, template, s))
+        failed = [a for a in alone if isinstance(a, Exception)]
+        assert 0 < len(failed) < 7
+        assert all(type(a) is RuntimeError and str(a).startswith("stub failure at ")
+                   for a in failed)
+        self.check(alone, batch)
+        for a, b in zip(alone, batch):
+            if not isinstance(a, Exception):
+                assert stats_key(b[1]) == stats_key(a[1])

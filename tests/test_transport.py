@@ -123,6 +123,16 @@ class TestCost:
         assert np.all(diffs <= 1e-12)
         assert viols[-1] < viols[0] / 1e4
 
+    def test_cost_is_the_broadcast_sum_bitwise(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n, m = (int(v) for v in rng.integers(1, 40, 2))
+            scale = 10.0 ** rng.uniform(-2, 3)
+            Y = rng.normal(0, scale, (m, 3))
+            for X in (rng.normal(0, scale, (n, 3)),
+                      rng.normal(0, scale, (int(rng.integers(1, 8)), n, 3))):
+                assert transport._cost(X, Y).tobytes() == broadcast_cost(X, Y).tobytes()
+
     def test_plan_fields(self):
         X, Y = clouds(4, n=3, m=5)
         _, plan = ot_epsilon(X, Y, SinkhornConfig())
@@ -322,9 +332,9 @@ def concatenated_residual_solve(X, a, Y, b, cfg):
             hg = hg + ub / rho
         ridge = transport._RIDGE * max(hf.max(), hg.max())
         if n >= m:
-            d = transport._schur_direction(hf + ridge, hg + ridge, K, r[:n], r[n:])
+            d = single_schur_direction(hf + ridge, hg + ridge, K, r[:n], r[n:])
         else:
-            d = transport._schur_direction(hg + ridge, hf + ridge, K.T, r[n:], r[:n])
+            d = single_schur_direction(hg + ridge, hf + ridge, K.T, r[n:], r[:n])
             d = None if d is None else d[::-1]
         if d is None:
             return None
@@ -387,6 +397,207 @@ class TestCrossSolverBookkeeping:
             assert x.tobytes() == y.tobytes(), name
         assert got[3:] == want[3:]
         assert got[3] is converges
+
+
+def broadcast_cost(X, Y):
+    """transport._cost as it was written, through an (..., N, M, 3) temporary."""
+    return 0.5 * np.sum((X[..., :, None, :] - Y) ** 2, axis=-1)
+
+
+def single_schur_direction(d_big, d_small, K, r_big, r_small):
+    """transport._schur_direction as it was written for one sample."""
+    Kd = K / d_big[:, None]
+    S = np.diag(d_small) - K.T @ Kd
+    try:
+        v = np.linalg.solve(S, r_small - Kd.T @ r_big)
+    except np.linalg.LinAlgError:
+        return None
+    u = (r_big - K @ v) / d_big
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        return None
+    return u, v
+
+
+def single_solve(X, a, Y, b, cfg, log=None):
+    """transport._solve as it was written for one cloud X (N, 3), the oracle
+    of the stacked solve; `log`, when given, counts its step halvings and
+    the Newton steps it replaced by a sweep."""
+    log = {} if log is None else log
+    log.setdefault("halvings", 0)
+    log.setdefault("fallbacks", 0)
+    eps = cfg.epsilon
+    balanced = cfg.balanced
+    rho = None if balanced else cfg.reach ** 2
+    C = broadcast_cost(X, Y)
+    with np.errstate(divide="ignore"):
+        la = np.log(a)[:, None]
+        lb = np.log(b)[None, :]
+    damp = transport._damp(cfg)
+    n, m = C.shape
+    fk = lb - C / eps
+    gk = la - C / eps
+    pk = la + lb - C / eps
+
+    def point(f, g):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = np.exp(pk + (f[:, None] + g[None, :]) / eps)
+            if balanced:
+                ua, ub = a, b
+                value = a @ f + b @ g - eps * gamma.sum()
+            else:
+                ua = a * np.exp(-f / rho)
+                ub = b * np.exp(-g / rho)
+                value = -rho * (ua.sum() + ub.sum()) - eps * gamma.sum()
+            rf = ua - gamma.sum(axis=1)
+            rg = ub - gamma.sum(axis=0)
+        res = np.maximum(np.abs(rf).max(), np.abs(rg).max())
+        return value, rf, rg, res, gamma, ua, ub
+
+    def newton(f, g, value, rf, rg, res, gamma, ua, ub):
+        K = gamma / eps
+        hf, hg = K.sum(axis=1), K.sum(axis=0)
+        if not balanced:
+            hf = hf + ua / rho
+            hg = hg + ub / rho
+        ridge = transport._RIDGE * max(hf.max(), hg.max())
+        if n >= m:
+            d = single_schur_direction(hf + ridge, hg + ridge, K, rf, rg)
+        else:
+            d = single_schur_direction(hg + ridge, hf + ridge, K.T, rg, rf)
+            d = None if d is None else d[::-1]
+        if d is None:
+            return None
+        df, dg = d
+        slope = rf @ df + rg @ dg
+        move = max(np.abs(df).max(), np.abs(dg).max())
+        cap = transport._MAX_MOVE * eps
+        t = 1.0 if move <= cap else cap / move
+        for _ in range(transport._MAX_HALVINGS):
+            ft, gt = f + t * df, g + t * dg
+            trial = point(ft, gt)
+            value_t, res_t = trial[0], trial[3]
+            if np.isfinite(value_t) and np.isfinite(res_t) and (
+                    value_t >= value + transport._ARMIJO * t * slope or res_t < res):
+                return ft, gt, trial
+            t *= 0.5
+            log["halvings"] += 1
+        return None
+
+    f = np.zeros(n)
+    g = np.zeros(m)
+    state = None
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        step = newton(f, g, *state) if it > transport._WARMUP_SWEEPS else None
+        if step is None:
+            log["fallbacks"] += it > transport._WARMUP_SWEEPS
+            f = -damp * eps * transport._lse(fk + g[None, :] / eps, axis=1)
+            g = -damp * eps * transport._lse(gk + f[:, None] / eps, axis=0)
+            state = point(f, g)
+        else:
+            f, g, state = step
+        if state[3] < cfg.tol:
+            converged = True
+            break
+    return f, g, state[4], converged, it
+
+
+def stacked_case(seed, size, n=None, m=None):
+    """`size` clouds of one size, jittered copies of one random cloud as a
+    replicate's samples are, random masses, and one random target."""
+    rng = np.random.default_rng(seed)
+    n = n or int(rng.integers(1, 40))
+    m = m or int(rng.integers(1, 12))
+    base = rng.uniform(-3, 3, (n, 3))
+    X = base + rng.normal(0, rng.uniform(0.1, 2.0), (size, n, 3))
+    a = rng.uniform(0.2, 1.0, (size, n))
+    b = rng.uniform(0.2, 1.0, m)
+    return X, a / a.sum(axis=1, keepdims=True), rng.uniform(-3, 3, (m, 3)), b / b.sum()
+
+
+def assert_rows_match_alone(X, a, Y, b, cfg, logs=None):
+    """Each row of the stacked solve is bitwise the row solved alone."""
+    got = transport._solve(X, a, Y, b, cfg)
+    assert got[0].shape == (len(X), X.shape[1]) and got[2].shape == (len(X), X.shape[1], len(Y))
+    for k in range(len(X)):
+        log = {}
+        want = single_solve(X[k], a[k], Y, b, cfg, log)
+        for name, x, y in zip(("f", "g", "gamma"), got[:3], want[:3]):
+            assert x[k].tobytes() == y.tobytes(), (name, k)
+        assert (bool(got[3][k]), int(got[4][k])) == want[3:], k
+        if logs is not None:
+            logs.append((log, want[3:]))
+    return got
+
+
+STACK_CONFIGS = [
+    SinkhornConfig(epsilon=1.0, reach=None),
+    SinkhornConfig(epsilon=1.0, reach=10.0),
+    SinkhornConfig(epsilon=0.3, reach=40.0, use_weights=True),
+    SinkhornConfig(epsilon=0.5, reach=None, tol=1e-10, use_weights=True),
+]
+
+
+class TestStackedCrossSolve:
+    """The stacked cross solve against single_solve, one row at a time."""
+
+    @pytest.mark.parametrize("cfg", STACK_CONFIGS, ids=["balanced", "relaxed",
+                                                       "weighted", "tight"])
+    def test_rows_match_solving_alone(self, cfg):
+        logs = []
+        for seed in range(40):
+            assert_rows_match_alone(*stacked_case(seed, 1 + seed % 7), cfg, logs)
+        # the cases cover rows that stop at different iterations within one
+        # stack, line searches that halve, and every row converged
+        assert len({it for _, (_, it) in logs}) > 5
+        assert sum(log["halvings"] for log, _ in logs) > 0
+        assert all(conv for _, (conv, _) in logs)
+
+    @pytest.mark.parametrize("reach", [None, 10.0])
+    def test_unconverged_rows(self, reach):
+        # the 30-bead chain against the 7-point cloud at epsilon = 1e-3 does
+        # not converge (see CHANGES.md); jittered copies make a stack of three
+        rng = np.random.default_rng(5)
+        X = chain_cloud().points + rng.normal(0, 0.05, (3, 30, 3))
+        a = np.full((3, 30), 1 / 30)
+        Y = target_cloud()
+        cfg = SinkhornConfig(epsilon=1e-3, reach=reach, max_iters=80)
+        got = assert_rows_match_alone(X, a, Y.points, Y.weights, cfg)
+        assert not got[3].any() and (got[4] == 80).all()
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 4])
+    def test_warm_up_sweeps_only(self, max_iters):
+        cfg = SinkhornConfig(epsilon=0.5, reach=10.0, max_iters=max_iters, tol=1e-12)
+        for seed in range(6):
+            got = assert_rows_match_alone(*stacked_case(seed, 1 + seed), cfg)
+            assert (got[4] == max_iters).all()
+
+    def test_singular_schur_matrix_fails_its_row_alone(self, monkeypatch):
+        """A stacked np.linalg.solve raises for the whole stack when one matrix
+        is singular; only that row may fall back to a sweep."""
+        X, a, Y, b = stacked_case(3, 5, n=9, m=6)
+        cfg = SinkhornConfig(epsilon=1.0, reach=None)
+        real = np.linalg.solve
+        seen = []
+
+        def recording(S, r):
+            seen.append(S.copy())
+            return real(S, r)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        single_solve(X[2], a[2], Y, b, cfg)
+        singular = seen[1]    # the matrix of row 2's second Newton step
+
+        def failing(S, r):
+            if any(np.array_equal(s, singular) for s in S.reshape(-1, *singular.shape)):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(S, r)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        logs = []
+        assert_rows_match_alone(X, a, Y, b, cfg, logs)
+        assert [log["fallbacks"] for log, _ in logs] == [0, 0, 1, 0, 0]
 
 
 class TestDivergence:
