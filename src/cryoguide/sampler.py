@@ -89,12 +89,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     """
     # the ufuncs' own reduce: np.sum and the ndarray methods add a Python
     # layer that costs more than the arithmetic on the prior's few modes
-    a_max = np.maximum.reduce(a, axis=-1)
-    top = a == a_max[..., None]
+    a_max = np.maximum.reduce(a, axis=-1, keepdims=True)
+    top = a == a_max
     m = np.add.reduce(top, axis=-1)
-    s = np.add.reduce(np.exp(np.where(top, -np.inf, a) - a_max[..., None]), axis=-1)
-    out = np.log1p(s / m) + np.log(m) + a_max
-    if not np.isfinite(out).all():
+    s = np.add.reduce(np.exp(np.where(top, -np.inf, a) - a_max), axis=-1)
+    out = np.log1p(s / m) + np.log(m) + a_max[..., 0]
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         out = np.where(np.isfinite(out), out, np.log(np.sum(np.exp(a), axis=-1)))
     return out
 
@@ -106,8 +106,9 @@ class ScoreModel(abc.ABC):
 
     @abc.abstractmethod
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        """Score of the sigma-noised distribution at flat coordinates x, one
-        (3n,) point or a (B, 3n) batch of them; the result has x's shape."""
+        """Score of the sigma-noised distribution at flat coordinates x, a
+        (B, 3n) batch with one row per sample; the result has x's shape.
+        The sampler always passes a batch, with B = 1 for one seed."""
 
 
 class GaussianMixturePrior(ScoreModel):
@@ -254,12 +255,26 @@ class SampleStats:
         self.ot_self_unconverged += not self_term.converged
 
 
-def tweedie_estimate(x: np.ndarray, sigma: float, model: ScoreModel) -> np.ndarray:
-    """Denoised posterior-mean estimate x + sigma^2 * score(x, sigma)."""
+def _tweedie_rows(x: np.ndarray, sigma: float, model: ScoreModel):
+    """Denoised estimates x + sigma^2 * score(x, sigma) of a (B, 3n) batch
+    and the rows whose score is not finite; a diverging row overflows
+    quietly."""
     s = model.score(x, sigma)
-    if not np.all(np.isfinite(s)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_hat = x + sigma ** 2 * s
+    if np.isfinite(s).all():
+        return x_hat, []
+    return x_hat, np.flatnonzero(~np.isfinite(s).reshape(len(x), -1).all(axis=1))
+
+
+def tweedie_estimate(x: np.ndarray, sigma: float, model: ScoreModel) -> np.ndarray:
+    """Denoised posterior-mean estimate x + sigma^2 * score(x, sigma) of flat
+    coordinates x, (3n,) or a (B, 3n) batch."""
+    x = np.asarray(x, dtype=np.float64)
+    x_hat, bad = _tweedie_rows(x.reshape(-1, x.shape[-1]), sigma, model)
+    if len(bad):
         raise SamplingError(f"non-finite score at sigma={sigma:.6g}")
-    return x + sigma ** 2 * s
+    return x_hat.reshape(x.shape)
 
 
 def gradient_normalize(grad: np.ndarray, reference_step: float) -> np.ndarray:
@@ -283,14 +298,14 @@ def _integrate(model: ScoreModel, schedule: NoiseSchedule, seeds, guide=None,
 
     Row b of the (B, 3n) state is the sample drawn from `seeds[b]` with its
     own Generator, which draws in sample order each step, so its bytes do
-    not depend on the other rows.  `guide(i, xhat, tweedie_disp, sigma_hat,
-    sigma_next)` gets the rows of the samples still running and may return
-    a displacement for them (added to the updated state) or None when
-    inactive.  A sample whose score or coordinates turn non-finite, or
-    whose guidance fails (the guide sets the error in its stats), leaves
-    the batch with the error in its `SampleStats`, and its row of the
-    result is NaN.  Returns the (B, 3n) result, the stats and each step's
-    wall time.
+    not depend on the other rows; one seed is a batch of one.  `guide(i,
+    xhat, tweedie_disp, sigma_hat, sigma_next)` gets the (B', 3n) rows of
+    the samples still running and may return a displacement for them
+    (added to the updated state) or None when inactive.  A sample whose
+    score or coordinates turn non-finite, or whose guidance fails (the
+    guide sets the error in its stats), leaves the batch with the error in
+    its `SampleStats`, and its row of the result is NaN.  Returns the
+    (B, 3n) result, the stats and each step's wall time.
     """
     sigmas = schedule.sigmas()
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -301,15 +316,18 @@ def _integrate(model: ScoreModel, schedule: NoiseSchedule, seeds, guide=None,
     out = np.full_like(x, np.nan)
     step_s = np.zeros(len(sigmas) - 1)
 
-    def drop(rows, error):
-        """Take rows out of the batch; `error()` becomes the failure of each
-        of their samples that has none recorded.  Returns the kept rows."""
+    def drop(rows, error, evals):
+        """Take rows out of the batch after `evals` score evaluations;
+        `error()` becomes the failure of each of their samples that has none
+        recorded.  Returns the kept rows."""
         nonlocal live
         keep = np.ones(len(live), dtype=bool)
         keep[rows] = False
         for r in rows:
-            if stats[live[r]].error is None:
-                stats[live[r]].error = error()
+            st = stats[live[r]]
+            st.score_evals += evals
+            if st.error is None:
+                st.error = error()
         live = [b for b, k in zip(live, keep) if k]
         return keep
 
@@ -323,35 +341,35 @@ def _integrate(model: ScoreModel, schedule: NoiseSchedule, seeds, guide=None,
             for r, b in enumerate(live):
                 rngs[b].standard_normal(out=noise[r])
             x = x + np.sqrt(s_hat ** 2 - s ** 2) * noise
-        score = model.score(x, s_hat)
-        if not np.isfinite(score).all():
-            bad = ~np.isfinite(score).reshape(len(x), -1).all(axis=1)
-            keep = drop(np.flatnonzero(bad),
-                        lambda: SamplingError(f"non-finite score at sigma={s_hat:.6g}"))
-            x, score = x[keep], score[keep]
-        for b in live:
-            stats[b].score_evals += 1
+        x_hat, bad = _tweedie_rows(x, s_hat, model)
+        if len(bad):
+            keep = drop(bad,
+                        lambda: SamplingError(f"non-finite score at sigma={s_hat:.6g}"), i)
+            x, x_hat = x[keep], x_hat[keep]
         # a diverging row overflows quietly and fails the finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
-            x_hat = x + s_hat ** 2 * score
             x_next = x + (s_next - s_hat) / s_hat * (x - x_hat)
+        bad = []
         if guide is not None and live:
             delta = guide(i, x_hat, x - x_hat, s_hat, s_next)
             if delta is not None:
                 with np.errstate(over="ignore", invalid="ignore"):
                     x_next = x_next + np.asarray(delta).reshape(x_next.shape)
-        bad = {r for r, b in enumerate(live) if stats[b].error is not None}
+            bad = [r for r, b in enumerate(live) if stats[b].error is not None]
         if not np.isfinite(x_next).all():
-            bad.update(np.flatnonzero(~np.isfinite(x_next).all(axis=1)).tolist())
+            bad = sorted(set(bad).union(
+                np.flatnonzero(~np.isfinite(x_next).all(axis=1)).tolist()))
         if bad:
-            keep = drop(sorted(bad), lambda: SamplingError(
-                f"non-finite coordinates at step {i} (sigma={s:.6g})"))
+            keep = drop(bad, lambda: SamplingError(
+                f"non-finite coordinates at step {i} (sigma={s:.6g})"), i + 1)
             x_next = x_next[keep]
         x = x_next
         t1 = time.perf_counter()
         step_s[i], t0 = t1 - t0, t1
         if not live:
             break
+    for b in live:
+        stats[b].score_evals += i + 1
     out[live] = x
     return out, stats, step_s
 
@@ -394,7 +412,9 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
     evaluated in the map frame and rotated back into the sampling frame.
     The global stage solves the batch's cross terms as one stack; the frame,
     the self term and the local stage are per sample.  A sample whose
-    guidance raises records the error in its stats and gets no displacement.
+    guidance raises records the error in its stats and gets no displacement;
+    when the stacked solve raises, each cloud is solved alone, so only the
+    samples that raise alone fail.
     """
     t_w, t_g, t_l = gsched.t_warm, gsched.t_global, gsched.t_local
 
@@ -428,31 +448,49 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
             if lam == 0.0:
                 return None
             clouds = each(lambda r, st: PointCloud(world[r]))
+
+            def global_grads(rows):
+                """The gradients of these rows' clouds, their cross terms
+                solved as one stack; counted once every one is solved."""
+                plans = []
+                grads = divergence_grad([clouds[r] for r in rows], ctx.target_cloud,
+                                        ctx.sinkhorn, on_plans=lambda *p: plans.append(p))
+                for r, p in zip(rows, plans):
+                    live[r].record_plans(*p)
+                    live[r].global_evals += 1
+                return grads
+
             rows = [r for r, cloud in enumerate(clouds) if cloud is not None]
-            plans = []
-            grads = divergence_grad([clouds[r] for r in rows], ctx.target_cloud, ctx.sinkhorn,
-                                    on_plans=lambda *p: plans.append(p)) if rows else []
-            for r, p in zip(rows, plans):
-                live[r].record_plans(*p)
-                live[r].global_evals += 1
+            grads = [None] * len(live)
+            try:
+                if rows:
+                    for r, grad in zip(rows, global_grads(rows)):
+                        grads[r] = grad
+            except Exception:   # solve alone: only the clouds that raise fail
+                grads = each(lambda r, st: global_grads([r])[0])
         else:
             lam = gsched.lambda_local
             if lam == 0.0:
                 return None
-            grads = each(lambda r, st: density_loss_grad_coords(
-                world[r], amps, ctx.target_map, ctx.resolution, ctx.blur))
-            rows = [r for r, grad in enumerate(grads) if grad is not None]
-            grads = [grads[r] for r in rows]
-            for r in rows:
-                live[r].local_evals += 1
+
+            def local_grad(r, st):
+                grad = density_loss_grad_coords(world[r], amps, ctx.target_map,
+                                                ctx.resolution, ctx.blur)
+                st.local_evals += 1
+                return grad
+
+            grads = each(local_grad)
         delta = np.zeros_like(x_hat)
-        for r, grad in zip(rows, grads):
+
+        def displace(r, st):
             ref_step = float(np.sqrt(np.mean(
                 np.sum(tweedie_disp[r].reshape(-1, 3) ** 2, axis=1))))
-            frame = live[r].frame
-            if frame is not None:
-                grad = grad @ frame.rotation   # rotate back to the sampling frame
+            grad = grads[r]
+            if st.frame is not None:
+                grad = grad @ st.frame.rotation   # rotate back to the sampling frame
             delta[r] = (-lam * gradient_normalize(grad, ref_step)).ravel()
+
+        each(displace)
         return delta
 
     return guide
@@ -520,8 +558,9 @@ def gaussian_posterior_guidance(prior: GaussianMixturePrior,
 
 def sample_with_guide(model: ScoreModel, schedule: NoiseSchedule, seed, guide):
     """Draw one sample under an arbitrary guidance hook; (n_atoms, 3) output.
-    A list of seeds draws a lockstep batch, as sample_unguided does; the
-    hook then sees the (B, 3n) rows of the samples still running."""
+    A list of seeds draws a lockstep batch, as sample_unguided does.  The
+    hook always sees the (B, 3n) rows of the samples still running, with
+    B = 1 for one seed, and returns a displacement of that shape or None."""
     seeds, batch = _batch(seed)
     x, stats, _ = _integrate(model, schedule, seeds, guide=guide)
     return _outcomes(x.reshape(len(seeds), -1, 3), stats, batch)

@@ -82,6 +82,13 @@ _sum = np.add.reduce
 _max = np.maximum.reduce
 
 
+def _rowdot(x, y):
+    """Dot product of each row of x with the same row of y (either may be
+    one vector for all rows): a stacked (1, n) @ (n, 1) product, which
+    takes the bits of x[k] @ y[k] alone, where (B, n) @ y need not."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _lse(M, axis):
     """logsumexp with max-subtraction; tolerates -inf entries (zero masses).
     Call it with divide-by-zero warnings off."""
@@ -139,8 +146,8 @@ def _schur_direction(d_big, d_small, K, r_big, r_small):
     Kd = K / d_big[:, :, None]
     S = np.zeros((rows, k, k))
     S.reshape(rows, k * k)[:, ::k + 1] = d_small
-    S -= K.mT @ Kd
-    rhs = r_small - np.vecmat(r_big, Kd)
+    S -= K.transpose(0, 2, 1) @ Kd
+    rhs = r_small - (r_big[:, None, :] @ Kd)[:, 0]
     try:
         v = np.linalg.solve(S, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:   # raised for the whole stack
@@ -150,7 +157,7 @@ def _schur_direction(d_big, d_small, K, r_big, r_small):
                 v[i] = np.linalg.solve(S[i], rhs[i])
             except np.linalg.LinAlgError:
                 pass
-    u = (r_big - np.matvec(K, v)) / d_big
+    u = (r_big - (K @ v[:, :, None])[:, :, 0]) / d_big
     if np.isfinite(u).all() and np.isfinite(v).all():
         return u, v, []
     bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1))
@@ -211,7 +218,7 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
         gamma = np.exp(pkr + (f[:, :, None] + g[:, None, :]) / eps)
         if balanced:
             ua = ub = None
-            value = np.vecdot(ar, f) + np.vecdot(b, g) - eps * _sum(gamma, axis=(1, 2))
+            value = _rowdot(ar, f) + _rowdot(b, g) - eps * _sum(gamma, axis=(1, 2))
             rf = ar - _sum(gamma, axis=2)
             rg = b - _sum(gamma, axis=1)
         else:
@@ -237,8 +244,9 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
         if n >= m:
             df, dg, failed = _schur_direction(hf + ridge, hg + ridge, K, rf, rg)
         else:
-            dg, df, failed = _schur_direction(hg + ridge, hf + ridge, K.mT, rg, rf)
-        slope = (np.vecdot(rf, df) + np.vecdot(rg, dg)).tolist()
+            dg, df, failed = _schur_direction(hg + ridge, hf + ridge, K.transpose(0, 2, 1),
+                                              rg, rf)
+        slope = (_rowdot(rf, df) + _rowdot(rg, dg)).tolist()
         move = np.maximum(_max(np.abs(df), axis=1), _max(np.abs(dg), axis=1)).tolist()
         cap = _MAX_MOVE * eps
         t = [1.0 if mv <= cap else cap / mv for mv in move]
@@ -389,31 +397,30 @@ def sinkhorn_divergence(X: PointCloud, Y: PointCloud,
     return cxy - 0.5 * cxx - 0.5 * cyy
 
 
-def divergence_grad(X: PointCloud | Sequence[PointCloud], Y: PointCloud,
+def divergence_grad(X: Sequence[PointCloud], Y: PointCloud,
                     cfg: SinkhornConfig = SinkhornConfig(),
                     on_plans: Callable[[TransportPlan, TransportPlan], None] | None = None
-                    ) -> np.ndarray | list[np.ndarray]:
-    """Gradient of sinkhorn_divergence with respect to the X positions.
+                    ) -> list[np.ndarray]:
+    """Gradient of sinkhorn_divergence with respect to the positions of each
+    cloud of X, a sequence of clouds of one size.
 
     Envelope form: the converged plans are held fixed, so for the half-sum
     of squared distances cost the cross term contributes
     sum_j gamma_ij (x_i - y_j) and the (symmetric) self term twice that
     with Y = X.  Exact at convergence.
 
-    X is one cloud, or a sequence of clouds of one size, which gives a list
-    of gradients: their cross terms against Y are solved as one stack, each
-    bitwise its own solve, and their self terms one cloud at a time.
-    `on_plans`, when given, is called with each cloud's cross-term and
-    self-term TransportPlans in order, so a caller can keep their iteration
-    counts and convergence flags.
+    The cross terms against Y are solved as one stack, each bitwise its own
+    solve, and the self terms one cloud at a time.  `on_plans`, when given,
+    is called with each cloud's cross-term and self-term TransportPlans in
+    order, so a caller can keep their iteration counts and convergence
+    flags.
     """
-    clouds = [X] if isinstance(X, PointCloud) else list(X)
     Q = Y.points
     F, G, gammas, converged, iterations = _solve(
-        np.stack([c.points for c in clouds]), np.stack([_masses(c, cfg) for c in clouds]),
+        np.stack([c.points for c in X]), np.stack([_masses(c, cfg) for c in X]),
         Q, _masses(Y, cfg), cfg)
     grads = []
-    for k, c in enumerate(clouds):
+    for k, c in enumerate(X):
         gamma = gammas[k]
         _, pxx = ot_epsilon(c, c, cfg)
         if on_plans is not None:
@@ -423,4 +430,4 @@ def divergence_grad(X: PointCloud | Sequence[PointCloud], Y: PointCloud,
         gx = gamma.sum(axis=1)[:, None] * P - gamma @ Q
         gxx = 2.0 * (pxx.gamma.sum(axis=1)[:, None] * P - pxx.gamma @ P)
         grads.append(gx - 0.5 * gxx)
-    return grads[0] if isinstance(X, PointCloud) else grads
+    return grads

@@ -19,6 +19,7 @@ from cryoguide.sampler import (GaussianMixturePrior, GuidanceContext,
                                lambda_global, make_schedule, sample_guided,
                                sample_unguided, sample_with_guide,
                                tweedie_estimate, _logsumexp)
+from cryoguide import transport as transport_module
 from cryoguide.transport import SinkhornConfig
 
 
@@ -651,25 +652,58 @@ class TestBatchFailures:
         assert all(str(a).startswith("non-finite score at sigma=") for a in failed)
         self.check(alone, batch)
 
-    def test_guidance_error_fails_its_sample_alone(self, monkeypatch):
+    @pytest.mark.parametrize("where", ["local", "cross", "self", "displace"])
+    def test_guidance_error_fails_its_sample_alone(self, monkeypatch, where):
         prior, template, ctx = demo_context()
-        real = sampler_module.density_loss_grad_coords
 
-        def local_step(coords, *args):
+        def trips(value):
             # a property of the sample's own coordinates, true for about
-            # one call in five
-            if int(abs(coords[0, 0]) * 1e6) % 5 == 0:
-                raise RuntimeError(f"stub failure at {coords[0, 0]!r}")
-            return real(coords, *args)
+            # one call in nine
+            return int(abs(value) * 1e6) % 9 == 0
 
-        monkeypatch.setattr(sampler_module, "density_loss_grad_coords", local_step)
+        if where == "local":
+            real_local = sampler_module.density_loss_grad_coords
+
+            def stub(coords, *args):
+                if trips(coords[0, 0]):
+                    raise RuntimeError(f"stub failure at {coords[0, 0]!r}")
+                return real_local(coords, *args)
+
+            monkeypatch.setattr(sampler_module, "density_loss_grad_coords", stub)
+        elif where == "cross":   # the stacked solve raises if any of its rows trips
+            real_solve = transport_module._solve
+
+            def stub(X, a, Y, b, cfg):
+                if X.ndim == 3 and any(trips(v) for v in X[:, 0, 0]):
+                    raise RuntimeError("stub failure in the cross term")
+                return real_solve(X, a, Y, b, cfg)
+
+            monkeypatch.setattr(transport_module, "_solve", stub)
+        elif where == "self":
+            real_ot = transport_module.ot_epsilon
+
+            def stub(X, Y, cfg):
+                if Y is X and trips(X.points[0, 0]):
+                    raise RuntimeError(f"stub failure at {X.points[0, 0]!r}")
+                return real_ot(X, Y, cfg)
+
+            monkeypatch.setattr(transport_module, "ot_epsilon", stub)
+        else:
+            real_normalize = sampler_module.gradient_normalize
+
+            def stub(grad, reference_step):
+                if trips(grad[0, 0]):
+                    raise RuntimeError(f"stub failure at {grad[0, 0]!r}")
+                return real_normalize(grad, reference_step)
+
+            monkeypatch.setattr(sampler_module, "gradient_normalize", stub)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             alone, batch = self.draw_all(lambda s: sample_guided(
                 prior, ctx, DEMO_SCHED, DEMO_STAGES, template, s))
         failed = [a for a in alone if isinstance(a, Exception)]
         assert 0 < len(failed) < 7
-        assert all(type(a) is RuntimeError and str(a).startswith("stub failure at ")
+        assert all(type(a) is RuntimeError and str(a).startswith("stub failure ")
                    for a in failed)
         self.check(alone, batch)
         for a, b in zip(alone, batch):

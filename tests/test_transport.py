@@ -665,7 +665,7 @@ class TestGradient:
         X = PointCloud(rng.uniform(-3, 3, (5, 3)))
         Y = PointCloud(rng.uniform(-3, 3, (7, 3)))
         cfg = SinkhornConfig(epsilon=0.5, reach=reach, max_iters=10_000, tol=1e-10)
-        grad = divergence_grad(X, Y, cfg)
+        [grad] = divergence_grad([X], Y, cfg)
         h = 1e-4
         fd = np.zeros_like(grad)
         for i in range(len(X)):
@@ -683,17 +683,31 @@ class TestGradient:
         pts = rng.uniform(-3, 3, (6, 3))
         X = PointCloud(pts)
         Y = PointCloud(pts.copy())
-        grad = divergence_grad(X, Y, SinkhornConfig(epsilon=1.0, reach=10.0,
-                                                    max_iters=5000, tol=1e-10))
+        [grad] = divergence_grad([X], Y, SinkhornConfig(epsilon=1.0, reach=10.0,
+                                                        max_iters=5000, tol=1e-10))
         assert np.abs(grad).max() < 1e-5
 
     def test_singleton_points_along_displacement(self):
         X = PointCloud(np.array([[1.0, 0.0, 0.0]]))
         Y = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-        grad = divergence_grad(X, Y, SinkhornConfig(epsilon=0.5, reach=None))
+        [grad] = divergence_grad([X], Y, SinkhornConfig(epsilon=0.5, reach=None))
         assert grad[0, 0] > 0.5  # pushes X toward Y under descent
         np.testing.assert_allclose(grad[0, 1:], 0.0, atol=1e-10)
 
     def test_shape(self):
         X, Y = clouds(30, n=4, m=7)
-        assert divergence_grad(X, Y).shape == (4, 3)
+        assert [g.shape for g in divergence_grad([X, X], Y)] == [(4, 3), (4, 3)]
+
+    def test_each_cloud_of_a_stack_as_alone(self):
+        rng = np.random.default_rng(31)
+        Xs = [PointCloud(rng.uniform(-3, 3, (5, 3))) for _ in range(4)]
+        Y = PointCloud(rng.uniform(-3, 3, (7, 3)))
+        stacked_plans = []
+        grads = divergence_grad(Xs, Y, on_plans=lambda *p: stacked_plans.append(p))
+        for X, grad, plans in zip(Xs, grads, stacked_plans):
+            alone_plans = []
+            [alone] = divergence_grad([X], Y, on_plans=lambda *p: alone_plans.append(p))
+            assert np.array_equal(grad, alone)
+            for got, want in zip(plans, alone_plans[0]):
+                assert np.array_equal(got.gamma, want.gamma)
+                assert (got.iterations, got.converged) == (want.iterations, want.converged)
