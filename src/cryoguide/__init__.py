@@ -10,17 +10,15 @@ __version__ = "0.1.0"
 
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .alignment import RigidTransform, dock_to_map, kabsch
-from .forward import (BlurOperator, apply_blur, atom_sigma, density_loss,
-                      density_loss_grad, grid_for_model, simulate_map)
-from .metrics import (EvalReport, evaluate, rank_samples, rank_samples_by_rmsd,
-                      rscc)
+from .forward import (BlurOperator, atom_sigma, density_loss, density_loss_grad,
+                      grid_for_model, simulate_map)
+from .metrics import EvalReport, evaluate, rank_samples, rscc
 from .pointcloud import PointCloud, cluster_count, extract_pointcloud
 from .sampler import (GaussianMixturePrior, GuidanceContext, GuidanceSchedule,
                       NoiseSchedule, SamplingError, ScoreModel, lambda_global,
                       make_schedule, sample_guided, sample_unguided,
                       tweedie_estimate)
-from .structure import (Atom, AtomicModel, PdbFormatError, ca_subset, read_pdb,
-                        residue_range_subset, write_pdb)
+from .structure import Atom, AtomicModel, PdbFormatError, read_pdb, write_pdb
 from .transport import (SinkhornConfig, TransportPlan, divergence_grad,
                         ot_epsilon, sinkhorn_divergence)
 from .volume import (DensityMap, MapFormatError, crop_pad, dust,
@@ -28,15 +26,14 @@ from .volume import (DensityMap, MapFormatError, crop_pad, dust,
 
 __all__ = [
     "KERNEL_BACKEND", "RigidTransform", "dock_to_map", "kabsch",
-    "BlurOperator", "apply_blur", "atom_sigma", "density_loss",
+    "BlurOperator", "atom_sigma", "density_loss",
     "density_loss_grad", "grid_for_model", "simulate_map",
-    "EvalReport", "evaluate", "rank_samples", "rank_samples_by_rmsd", "rscc",
+    "EvalReport", "evaluate", "rank_samples", "rscc",
     "PointCloud", "cluster_count", "extract_pointcloud",
     "GaussianMixturePrior", "GuidanceContext", "GuidanceSchedule",
     "NoiseSchedule", "SamplingError", "ScoreModel", "lambda_global",
     "make_schedule", "sample_guided", "sample_unguided", "tweedie_estimate",
-    "Atom", "AtomicModel", "PdbFormatError", "ca_subset", "read_pdb",
-    "residue_range_subset", "write_pdb",
+    "Atom", "AtomicModel", "PdbFormatError", "read_pdb", "write_pdb",
     "SinkhornConfig", "TransportPlan", "divergence_grad", "ot_epsilon",
     "sinkhorn_divergence",
     "DensityMap", "MapFormatError", "crop_pad", "dust", "mask_near_model",

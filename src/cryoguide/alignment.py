@@ -57,11 +57,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying `other` first, then self."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
-
     def angle_degrees(self) -> float:
         """Rotation angle of the transform, in degrees."""
         c = (np.trace(self.rotation) - 1.0) / 2.0

@@ -55,8 +55,7 @@ def cmd_simulate_map(args) -> int:
     model = read_pdb(args.model)
     shape = tuple(args.shape) if args.shape else None
     grid = grid_for_model(model, args.voxel, args.pad, shape=shape)
-    blur = BlurOperator(sigma_b=args.blur) if args.blur > 0 else None
-    dmap = simulate_map(model, grid, args.resolution, blur=blur)
+    dmap = simulate_map(model, grid, args.resolution, blur=BlurOperator(sigma_b=args.blur))
     write_mrc(dmap, args.out)
     log.info("wrote %s: shape %s, voxel %.3f A", args.out, dmap.shape, dmap.voxel_size)
     return 0

@@ -141,13 +141,3 @@ def rank_samples(samples: list[AtomicModel], dmap: DensityMap,
             log.warning("sample %d skipped during ranking: %s", i, exc)
     scored.sort(key=lambda t: (-t[1], t[0]))
     return [i for i, _ in scored]
-
-
-def rank_samples_by_rmsd(samples: list[AtomicModel],
-                         reference: AtomicModel) -> list[int]:
-    """Indices sorted by ascending superposed all-atom RMSD to the reference."""
-    if not samples:
-        raise ValueError("rank_samples_by_rmsd needs at least one sample")
-    scored = [(i, evaluate(s, reference).rmsd_all) for i, s in enumerate(samples)]
-    scored.sort(key=lambda t: (t[1], t[0]))
-    return [i for i, _ in scored]

@@ -106,9 +106,10 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
     """Every replicate and sample, the manifest and the summary.
 
     Set up in one pass: every setting, built once and kept; the input files;
-    one guidance context for every replicate; then the outputs.  Per-sample
-    failures are logged and recorded; the run only fails outright when
-    nothing succeeds.
+    one guidance context for every replicate; then the outputs.  A sample
+    that fails to draw or to score, or every sample of a replicate whose
+    dock fails, is logged and recorded with no PDB; the run only fails
+    outright when nothing succeeds.
     """
     # both commands reject invalid guidance, transport and blur settings,
     # though sample uses none of them
@@ -150,29 +151,33 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
     for rep in range(cfg.n_replicates):
         rep_dir = os.path.join(cfg.outdir, f"rep{rep}")
         os.makedirs(rep_dir, exist_ok=True)
-        ctx = build_context(cfg, run_ctx, prior, schedule, rep) if guided else None
         seeds = [_sample_seed(cfg.seed, rep, j) for j in range(cfg.n_samples)]
         try:
             if guided:
+                ctx = build_context(cfg, run_ctx, prior, schedule, rep)
                 draws = sample_guided(prior, ctx, schedule, gsched, template, seeds)
             else:
                 draws = [d if isinstance(d, Exception) else (template.with_coords(d), None)
                          for d in sample_unguided(prior, schedule, seeds)]
-        except Exception as exc:    # fails every sample of the batch
+        except Exception as exc:    # a dock or the batch fails every sample
             draws = [exc] * cfg.n_samples
         for j, draw in enumerate(draws):
             seed_key = f"{cfg.seed}:{rep}:{j}"
+            if not isinstance(draw, Exception):
+                model, stats = draw
+                try:    # a sample that cannot be scored, say off the map, fails
+                    cc = rscc(model, dmap, cfg.resolution) if dmap is not None else None
+                    rmsd = evaluate(model, reference).rmsd_all if reference else None
+                except ValueError as exc:
+                    draw = exc
             if isinstance(draw, Exception):     # fails this sample alone
                 log.warning("rep %d sample %d failed: %s", rep, j, draw)
                 log.debug("rep %d sample %d failed", rep, j, exc_info=draw)
                 records.append(SampleRecord(rep, j, seed_key, "", str(draw),
                                             None, None))
                 continue
-            model, stats = draw
             path = os.path.join(rep_dir, f"sample{j}.pdb")
             write_pdb(model, path)
-            cc = rscc(model, dmap, cfg.resolution) if dmap is not None else None
-            rmsd = evaluate(model, reference).rmsd_all if reference else None
             records.append(SampleRecord(rep, j, seed_key, path, "ok", cc,
                                         rmsd))
             log.info("rep %d sample %d: rscc %s%s", rep, j, _fmt(cc) or "-",

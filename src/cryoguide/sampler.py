@@ -280,9 +280,12 @@ def tweedie_estimate(x: np.ndarray, sigma: float, model: ScoreModel) -> np.ndarr
 def gradient_normalize(grad: np.ndarray, reference_step: float) -> np.ndarray:
     """Rescale per-atom gradient vectors to RMS magnitude `reference_step`.
 
-    Guidance strengths are dimensionless; tying the gradient scale to the
-    denoiser's own displacement makes them transferable across systems.
-    Zero gradient passes through unchanged.
+    Guidance strengths are dimensionless multiples of the denoiser's own
+    displacement.  That does not make one strength work at every churn: the
+    move is added whole, not scaled by the Euler step, and on the demo map
+    the guided samples reach the minority mode at churn 0.1-0.4 but diverge
+    at churn 0 (measured; see ROADMAP item 1).  Zero gradient passes
+    through unchanged.
     """
     g = np.asarray(grad, dtype=np.float64)
     rms = np.sqrt(np.mean(np.sum(g.reshape(-1, 3) ** 2, axis=1)))

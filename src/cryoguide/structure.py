@@ -79,9 +79,6 @@ class AtomicModel:
     def _columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self.__slots__[:-1])
 
-    def _take(self, index) -> AtomicModel:
-        return self._from_columns(*(c[index] for c in self._columns()), self.provenance)
-
     def __reduce__(self):
         return self._from_columns, (*self._columns(), self.provenance)
 
@@ -335,16 +332,3 @@ def write_pdb(model: AtomicModel, path) -> None:
             fh.write("\n".join([_ATOM_RECORD] * (hi - lo) + [_TER_RECORD, ""])
                      % (*fields.ravel().tolist(), serial + 1, res_name, chain_id, res_index))
         fh.write("END\n")
-
-
-def ca_subset(model: AtomicModel) -> AtomicModel:
-    """Atoms named CA, original order preserved."""
-    return model._take(model.atom_names == "CA")
-
-
-def residue_range_subset(model: AtomicModel, chain: str, lo: int, hi: int) -> AtomicModel:
-    """Atoms on `chain` with lo <= res_index <= hi."""
-    if lo > hi:
-        raise ValueError(f"residue range lo {lo} > hi {hi}")
-    res = model.res_indices
-    return model._take((model.chain_ids == chain) & (lo <= res) & (res <= hi))

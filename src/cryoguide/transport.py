@@ -39,7 +39,6 @@ class SinkhornConfig:
     max_iters: int = 500
     tol: float = 1e-6             # cross term: largest marginal residual;
                                   # self term: largest potential update
-    use_weights: bool = False     # use cloud intensities as masses (else uniform)
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -68,9 +67,8 @@ class TransportPlan:
     iterations: int
 
 
-def _masses(cloud: PointCloud, cfg: SinkhornConfig) -> np.ndarray:
-    if cfg.use_weights:
-        return cloud.weights
+def _masses(cloud: PointCloud) -> np.ndarray:
+    """Uniform masses: guidance matches positions, not map intensities."""
     n = len(cloud)
     return np.full(n, 1.0 / n)
 
@@ -170,12 +168,12 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
     """OT(X, Y): alternating warm-up sweeps, then damped Newton steps on the
     concave dual; a step that fails is replaced by one sweep.
 
-    X is one cloud (N, 3) with masses a (N,), or a stack (B, N, 3) with
-    masses (B, N), each against the cloud Y (M, 3) with masses b.  A stack
-    gives f (B, N), g (B, M), gamma (B, N, M) and per-row converged flags
-    and iteration counts.  Every row takes its own sweeps, Newton steps,
-    step halvings and stop, and leaves the stack when it converges, so its
-    result is bitwise that of its cloud solved alone.
+    X is a stack of clouds (B, N, 3) with masses a (B, N), each against the
+    cloud Y (M, 3) with masses b (M,).  Returns f (B, N), g (B, M), gamma
+    (B, N, M) and per-row converged flags and iteration counts.  Every row
+    takes its own sweeps, Newton steps, step halvings and stop, and leaves
+    the stack when it converges, so its result is bitwise that of its cloud
+    solved alone.
 
     The dual's gradient is the marginal residual (a e^{-f/rho} - gamma 1,
     b e^{-g/rho} - gamma^T 1), with a and b in place of the exponentials
@@ -190,9 +188,6 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
     rejected, a direction that is not finite gives a sweep, and a sweep
     that overflows leaves a residual that never meets `tol`.
     """
-    single = X.ndim == 2
-    if single:
-        X, a = X[None], a[None]
     eps = cfg.epsilon
     balanced = cfg.balanced
     rho = None if balanced else cfg.reach ** 2
@@ -317,8 +312,6 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
 
     if len(finished) == 1:   # every row stopped together
         _, f, g, gamma, conv, it = finished[0]
-        if single:
-            return f[0], g[0], gamma[0], conv, it
         return f, g, gamma, np.full(B, conv), np.full(B, it)
     f, g, gamma = np.empty((B, n)), np.empty((B, m)), np.empty((B, n, m))
     converged, iterations = np.empty(B, dtype=bool), np.empty(B, dtype=int)
@@ -377,13 +370,14 @@ def ot_epsilon(X: PointCloud, Y: PointCloud,
     """
     if len(X) == 0 or len(Y) == 0:
         raise ValueError("ot_epsilon requires nonempty point clouds")
-    a = _masses(X, cfg)
+    a = _masses(X)
     if Y is X:
         f, gamma, converged, it = _solve_self(X.points, a, cfg)
         g, b = f, a
     else:
-        b = _masses(Y, cfg)
-        f, g, gamma, converged, it = _solve(X.points, a, Y.points, b, cfg)
+        b = _masses(Y)
+        F, G, gammas, conv, its = _solve(X.points[None], a[None], Y.points, b, cfg)
+        f, g, gamma, converged, it = F[0], G[0], gammas[0], bool(conv[0]), int(its[0])
     cost = _dual_value(a, f, b, g, cfg)
     return cost, TransportPlan(gamma=gamma, f=f, g=g, converged=converged, iterations=it)
 
@@ -417,8 +411,8 @@ def divergence_grad(X: Sequence[PointCloud], Y: PointCloud,
     """
     Q = Y.points
     F, G, gammas, converged, iterations = _solve(
-        np.stack([c.points for c in X]), np.stack([_masses(c, cfg) for c in X]),
-        Q, _masses(Y, cfg), cfg)
+        np.stack([c.points for c in X]), np.stack([_masses(c) for c in X]),
+        Q, _masses(Y), cfg)
     grads = []
     for k, c in enumerate(X):
         gamma = gammas[k]

@@ -169,7 +169,7 @@ def _density_fixture(f: int, h: float):
     rng = np.random.default_rng(100 + f)
     n = int(rng.integers(3, 7))
     res = float(rng.uniform(1.8, 3.0))
-    blur = BlurOperator(sigma_b=1.5) if f % 3 == 0 else None
+    blur = BlurOperator(sigma_b=1.5 if f % 3 == 0 else 0.0)
     while True:
         model = _random_atoms(rng, n)
         grid = grid_for_model(model, voxel_size=1.2, pad=5.0)

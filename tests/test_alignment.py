@@ -49,14 +49,6 @@ class TestRigidTransform:
         pts = rng.normal(size=(7, 3))
         np.testing.assert_allclose(t.inverse().apply(t.apply(pts)), pts, atol=1e-12)
 
-    def test_compose(self):
-        rng = np.random.default_rng(2)
-        t1 = RigidTransform(rand_rotation(rng), rng.normal(size=3))
-        t2 = RigidTransform(rand_rotation(rng), rng.normal(size=3))
-        pts = rng.normal(size=(5, 3))
-        np.testing.assert_allclose(t2.compose(t1).apply(pts),
-                                   t2.apply(t1.apply(pts)), atol=1e-12)
-
     def test_angle_degrees(self):
         r = rotation_about(np.array([0.0, 0.0, 1.0]), 37.0)
         t = RigidTransform(r, np.zeros(3))

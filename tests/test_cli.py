@@ -50,6 +50,12 @@ def base_config(workdir, outdir, extra=""):
     return path
 
 
+def output_tree(outdir):
+    """Every file under `outdir`, by relative path, with its bytes."""
+    return {str(p.relative_to(outdir)): p.read_bytes()
+            for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
 BAD_GUIDANCE = [(["schedule_kind=bogus"], "unknown schedule kind 'bogus'"),
                 (["lambda_local=-1"], "lambda_local must be >= 0, got -1.0"),
                 (["lambda_global_start=-0.5"],
@@ -353,6 +359,66 @@ class TestGuide:
         assert rows[1][4:] == ["", ""]
         assert not (outdir / "rep0" / "sample1.pdb").exists()
 
+    def test_scoring_error_fails_one_sample(self, workdir, tmp_path, monkeypatch):
+        """A sample whose RSCC raises, as one off the map does, fails alone:
+        no PDB and an empty RSCC and RMSD, and every other output is the
+        run's without the fault."""
+        cfg = base_config(workdir, tmp_path)
+        assert main(["guide", "--config", str(cfg), "--set",
+                     f"outdir={tmp_path / 'plain'}"]) == 0
+        want = output_tree(tmp_path / "plain")
+        real = pipeline.rscc
+        calls = []
+
+        def fail_rep0_sample1(*args):
+            calls.append(args)
+            if len(calls) == 2:     # samples are scored in order
+                raise ValueError("zero variance in map or simulated density")
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "rscc", fail_rep0_sample1)
+        assert main(["guide", "--config", str(cfg)]) == 0
+        got = output_tree(tmp_path / "out")
+        rows = [r.split("\t") for r in got.pop("manifest.tsv").decode().splitlines()]
+        want_rows = [r.split("\t") for r in want.pop("manifest.tsv").decode().splitlines()]
+        assert rows[2] == ["0", "1", "11:0:1",
+                           "zero variance in map or simulated density", "", ""]
+        assert rows[:2] + rows[3:] == want_rows[:2] + want_rows[3:]
+        summary = got.pop("summary.tsv").decode().splitlines()
+        want_summary = want.pop("summary.tsv").decode().splitlines()
+        assert summary[1].split("\t")[:3] == ["0", "1", "0"]
+        assert summary[::2] == want_summary[::2]    # the header and rep 1
+        del want["rep0/sample1.pdb"]
+        assert got == want
+
+    def test_dock_error_fails_one_replicate(self, workdir, tmp_path, monkeypatch):
+        """A dock that raises fails its replicate's samples and no others."""
+        cfg = base_config(workdir, tmp_path, extra="n_replicates = 3\nregister = true\n"
+                          "dock_rotations = 24\n")
+        assert main(["guide", "--config", str(cfg), "--set",
+                     f"outdir={tmp_path / 'plain'}"]) == 0
+        want = output_tree(tmp_path / "plain")
+        real = pipeline.dock_to_map
+        calls = []
+
+        def fail_rep1(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("stub dock failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "dock_to_map", fail_rep1)
+        assert main(["guide", "--config", str(cfg)]) == 0
+        got = output_tree(tmp_path / "out")
+        rows = [r.split("\t") for r in got["manifest.tsv"].decode().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["ok", "ok", "stub dock failure",
+                                        "stub dock failure", "ok", "ok"]
+        assert got["summary.tsv"].decode().splitlines()[2] == "1\t0\t\t\t"
+        for rep in ("rep0", "rep2"):
+            assert {k: v for k, v in got.items() if k.startswith(rep)} == \
+                {k: v for k, v in want.items() if k.startswith(rep)}
+        assert not any(k.startswith("rep1") for k in got)
+
     def test_one_pointcloud_per_run(self, workdir, tmp_path, monkeypatch):
         real = pipeline.extract_pointcloud
         calls = []
@@ -542,8 +608,7 @@ class TestSampleCommand:
             outdir = tmp_path / name
             assert main(["sample", "--config", str(cfg),
                          "--set", f"outdir={outdir}"]) == 0
-            outputs.append({str(p.relative_to(outdir)): p.read_bytes()
-                            for p in sorted(outdir.rglob("*")) if p.is_file()})
+            outputs.append(output_tree(outdir))
         assert sorted(outputs[0]) == ["manifest.tsv", "rep0/sample0.pdb",
                                       "rep0/sample1.pdb", "rep1/sample0.pdb",
                                       "rep1/sample1.pdb", "summary.tsv"]

@@ -7,7 +7,7 @@ import pytest
 
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.metrics import (EvalReport, _pair_atoms, _rmsd, evaluate, rank_samples,
-                               rank_samples_by_rmsd, rscc, tm_d0)
+                               rscc, tm_d0)
 from cryoguide.alignment import kabsch, rotation_about
 from cryoguide.structure import Atom, AtomicModel
 from cryoguide.volume import DensityMap
@@ -235,7 +235,7 @@ class TestEvaluate:
         """Both sides draw atoms from one pool of keys, with repeats, so that
         keys repeat on either side and some atoms have no partner."""
         rng = np.random.default_rng(seed)
-        pool = random_protein(rng, n_chains=3, n_residues=12)
+        pool = random_protein(rng, n_chains=3, n_residues=12).atoms
         sides = []
         for _ in range(2):
             picks = rng.integers(len(pool), size=int(rng.integers(0, 2 * len(pool))))
@@ -243,7 +243,8 @@ class TestEvaluate:
             extra = AtomicModel([Atom("C", (0, 0, 0), "Q", 7, "GLY", "CA"),
                                  Atom("C", (0, 0, 0), "A", 999, "GLY", "CA"),
                                  Atom("C", (0, 0, 0), "A", 1, "GLY", "CB")][:rng.integers(4)])
-            sides.append(pool._take(picks) if rng.random() < 0.8 else extra)
+            sides.append(AtomicModel([pool[i] for i in picks])
+                         if rng.random() < 0.8 else extra)
         sample, reference = sides
         si, ri = _pair_atoms(sample, reference)
         want_si, want_ri = reference_pairs(sample, reference)
@@ -350,16 +351,6 @@ class TestRanking:
         _, dmap = model_and_map
         with pytest.raises(ValueError, match="at least one"):
             rank_samples([], dmap, 2.0)
-        with pytest.raises(ValueError, match="at least one"):
-            rank_samples_by_rmsd([], None)
-
-    def test_rank_by_rmsd(self, model_and_map):
-        model, _ = model_and_map
-        rng = np.random.default_rng(3)
-        direction = rng.normal(size=(8, 3))
-        samples = [model.with_coords(model.coords() + amp * direction)
-                   for amp in (0.3, 0.0, 0.1)]
-        assert rank_samples_by_rmsd(samples, model) == [1, 2, 0]
 
 
 class TestReport:

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryoguide.structure import (ATOMIC_NUMBERS, Atom, AtomicModel,
-                                 PdbFormatError, _infer_element, ca_subset,
-                                 read_pdb, residue_range_subset, write_pdb)
+                                 PdbFormatError, _infer_element, read_pdb,
+                                 write_pdb)
 
 
 def atom_line(serial=1, name=" CA ", altloc=" ", res="GLY", chain="A",
@@ -627,40 +627,6 @@ def test_write_read_round_trip(tmp_path_factory, records):
     for name in ("elements", "chain_ids", "res_indices", "res_names", "atom_names"):
         assert getattr(back, name).tolist() == getattr(model, name).tolist()
     np.testing.assert_allclose(back.coords(), model.coords(), rtol=0, atol=5e-4 + 1e-9)
-
-class TestSubsets:
-    def _model(self):
-        atoms = (Atom("N", (0, 0, 0), "A", 1, "ALA", "N"),
-                 Atom("C", (1, 0, 0), "A", 1, "ALA", "CA"),
-                 Atom("C", (2, 0, 0), "A", 2, "GLY", "CA"),
-                 Atom("C", (3, 0, 0), "B", 1, "GLY", "CA"))
-        return AtomicModel(atoms)
-
-    def test_ca_subset(self):
-        m = ca_subset(self._model())
-        assert len(m) == 3
-        assert all(a.atom_name == "CA" for a in m.atoms)
-
-    def test_residue_range_subset(self):
-        m = residue_range_subset(self._model(), "A", 1, 1)
-        assert len(m) == 2
-        assert {a.res_index for a in m.atoms} == {1}
-        with pytest.raises(ValueError, match="lo"):
-            residue_range_subset(self._model(), "A", 3, 1)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_masks_match_atom_filters(self, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        model = read_pdb(write_lines(tmp_path, random_pdb_lines(rng, 300)))
-        atoms = model.atoms
-        cas = ca_subset(model)
-        assert_same_atoms(cas, [a for a in atoms if a.atom_name == "CA"])
-        assert cas.provenance == model.provenance
-        for chain, lo, hi in (("B", -20, 40), ("A", -999, -5), ("C", 500, 9999),
-                              ("Z", 0, 10), ("A", 7, 7)):
-            sub = residue_range_subset(model, chain, lo, hi)
-            assert_same_atoms(sub, [a for a in atoms
-                                    if a.chain_id == chain and lo <= a.res_index <= hi])
 
 
 class TestAtomicModel:
