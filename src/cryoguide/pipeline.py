@@ -88,12 +88,14 @@ def build_context(cfg: RunConfig, ctx: GuidanceContext, prior, schedule: NoiseSc
     registration is on, `ctx` with an unguided reference docked into its map.
 
     The reference is drawn on `schedule` from the RNG stream one past the
-    sample indices.
+    sample indices; a reference that fails to draw raises.
     """
     if not cfg.register:
         return ctx
-    ref_seed = _sample_seed(cfg.seed, rep, cfg.n_samples)
-    ref_coords = sample_unguided(prior, schedule, ref_seed)
+    [ref_coords] = sample_unguided(prior, schedule,
+                                   [_sample_seed(cfg.seed, rep, cfg.n_samples)])
+    if isinstance(ref_coords, Exception):
+        raise ref_coords
     transform, score = dock_to_map(chain_template(ref_coords), ctx.target_map,
                                    ctx.resolution, n_rotations=cfg.dock_rotations,
                                    seed=cfg.seed)
@@ -137,6 +139,11 @@ def _run(cfg: RunConfig, guided: bool) -> list[SampleRecord]:
             raise ConfigError(f"template atom count {len(template)} does not "
                               f"match prior ({prior.n_atoms})")
     reference = read_pdb(cfg.reference) if cfg.reference else None
+    if reference is not None:   # a sample pairs with it as the template does
+        try:
+            evaluate(template, reference)
+        except ValueError as exc:
+            raise ConfigError(f"reference: {exc}") from None
 
     run_ctx = None
     if guided:   # one cloud and one context serve every replicate
@@ -209,10 +216,10 @@ def _fmt_stats(stats: SampleStats | None) -> str:
     if stats is None:
         return ""
     return (f", guidance evals {stats.global_evals} global + {stats.local_evals}"
-            f" local, cross-term solves {stats.ot_cross_solves}"
+            f" local, cross-term solves {stats.global_evals}"
             f" ({stats.ot_cross_iterations} iterations,"
             f" {stats.ot_cross_unconverged} unconverged), self-term solves"
-            f" {stats.ot_self_solves} ({stats.ot_self_iterations} iterations,"
+            f" {stats.global_evals} ({stats.ot_self_iterations} iterations,"
             f" {stats.ot_self_unconverged} unconverged)")
 
 

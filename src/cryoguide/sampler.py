@@ -107,8 +107,8 @@ class ScoreModel(abc.ABC):
     @abc.abstractmethod
     def score(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Score of the sigma-noised distribution at flat coordinates x, a
-        (B, 3n) batch with one row per sample; the result has x's shape.
-        The sampler always passes a batch, with B = 1 for one seed."""
+        (B, 3n) batch with one row per sample still running, B >= 1; the
+        result has x's shape."""
 
 
 class GaussianMixturePrior(ScoreModel):
@@ -238,19 +238,17 @@ class SampleStats:
     global_evals: int = 0
     local_evals: int = 0
     frame: RigidTransform | None = None   # stage-entry alignment, model -> map
-    ot_cross_solves: int = 0              # Sinkhorn cross-term solves
-    ot_cross_iterations: int = 0          # their iterations, summed
-    ot_cross_unconverged: int = 0         # those that hit max_iters
-    ot_self_solves: int = 0               # Sinkhorn self-term solves, likewise
-    ot_self_iterations: int = 0
+    # each global evaluation solves one cross and one self term
+    ot_cross_iterations: int = 0          # cross-term iterations, summed
+    ot_cross_unconverged: int = 0         # cross terms that hit max_iters
+    ot_self_iterations: int = 0           # self terms, likewise
     ot_self_unconverged: int = 0
     error: Exception | None = None        # what failed this sample, if anything
 
     def record_plans(self, cross: TransportPlan, self_term: TransportPlan) -> None:
-        self.ot_cross_solves += 1
+        self.global_evals += 1
         self.ot_cross_iterations += cross.iterations
         self.ot_cross_unconverged += not cross.converged
-        self.ot_self_solves += 1
         self.ot_self_iterations += self_term.iterations
         self.ot_self_unconverged += not self_term.converged
 
@@ -301,7 +299,7 @@ def _integrate(model: ScoreModel, schedule: NoiseSchedule, seeds, guide=None,
 
     Row b of the (B, 3n) state is the sample drawn from `seeds[b]` with its
     own Generator, which draws in sample order each step, so its bytes do
-    not depend on the other rows; one seed is a batch of one.  `guide(i,
+    not depend on the other rows; `seeds` is a non-empty sequence.  `guide(i,
     xhat, tweedie_disp, sigma_hat, sigma_next)` gets the (B', 3n) rows of
     the samples still running and may return a displacement for them
     (added to the updated state) or None when inactive.  A sample whose
@@ -312,6 +310,8 @@ def _integrate(model: ScoreModel, schedule: NoiseSchedule, seeds, guide=None,
     """
     sigmas = schedule.sigmas()
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    if not rngs:
+        raise ValueError("need at least one seed")
     stats = [SampleStats() for _ in rngs] if stats is None else stats
     n_dim = model.n_atoms * 3
     live = list(range(len(rngs)))   # the samples that the rows of x hold
@@ -377,33 +377,25 @@ def _integrate(model: ScoreModel, schedule: NoiseSchedule, seeds, guide=None,
     return out, stats, step_s
 
 
-def _batch(seed):
-    """The seeds of a call and whether they are a batch: a list or tuple of
-    seeds is one, anything else is one seed."""
-    if isinstance(seed, (list, tuple)):
-        return list(seed), True
-    return [seed], False
+def _outcomes(results, stats):
+    """Each sample's result, or the exception that failed it."""
+    return [st.error if st.error is not None else res for res, st in zip(results, stats)]
 
 
-def _outcomes(results, stats, batch):
-    """Each sample's result, or the exception that failed it; for one seed,
-    its result, or the exception raised."""
-    out = [st.error if st.error is not None else res for res, st in zip(results, stats)]
-    if batch:
-        return out
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+def sample_with_guide(model: ScoreModel, schedule: NoiseSchedule, seeds, guide):
+    """Draw one sample per seed of the sequence `seeds` as one lockstep batch
+    under the guidance hook `guide`, or none; returns a list with, per seed,
+    the (n_atoms, 3) coordinates or the exception that failed that sample
+    alone.  The hook sees the (B, 3n) rows of the samples still running and
+    returns a displacement of that shape or None."""
+    x, stats, _ = _integrate(model, schedule, seeds, guide=guide)
+    return _outcomes(x.reshape(len(x), -1, 3), stats)
 
 
-def sample_unguided(model: ScoreModel, schedule: NoiseSchedule = NoiseSchedule(),
-                    seed=0):
-    """Draw one unguided sample as (n_atoms, 3) coordinates.  A list of
-    seeds draws a lockstep batch and returns, per seed, the coordinates or
-    the exception that failed that sample alone."""
-    seeds, batch = _batch(seed)
-    x, stats, _ = _integrate(model, schedule, seeds)
-    return _outcomes(x.reshape(len(seeds), -1, 3), stats, batch)
+def sample_unguided(model: ScoreModel, schedule: NoiseSchedule, seeds):
+    """Draw one unguided sample per seed, as `sample_with_guide` without a
+    hook."""
+    return sample_with_guide(model, schedule, seeds, None)
 
 
 def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
@@ -460,7 +452,6 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
                                         ctx.sinkhorn, on_plans=lambda *p: plans.append(p))
                 for r, p in zip(rows, plans):
                     live[r].record_plans(*p)
-                    live[r].global_evals += 1
                 return grads
 
             rows = [r for r, cloud in enumerate(clouds) if cloud is not None]
@@ -501,21 +492,23 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
 
 def sample_guided(model: ScoreModel, ctx: GuidanceContext,
                   schedule: NoiseSchedule, gsched: GuidanceSchedule,
-                  template: AtomicModel, seed=0):
-    """Draw one density-guided sample onto the template's atoms, whose atomic
-    numbers are the splat amplitudes; returns the map-frame model and stats.
-
-    A list of seeds draws a lockstep batch and returns, per seed, the
-    (model, stats) pair or the exception that failed that sample alone; one
-    info line gives the batch's wall time in each stage.
+                  template: AtomicModel, seeds):
+    """Draw one density-guided sample per seed of the sequence `seeds` as one
+    lockstep batch, onto the template's atoms, whose atomic numbers are the
+    splat amplitudes; returns a list with, per seed, the map-frame model and
+    its stats, or the exception that failed that sample alone.  One info
+    line gives the batch's wall time in each stage.
     """
     if len(template) != model.n_atoms:
         raise ValueError(f"template has {len(template)} atoms, "
                          f"model expects {model.n_atoms}")
+    if ctx.reference is not None and len(ctx.reference) != model.n_atoms:
+        raise ValueError(f"reference has {len(ctx.reference)} atoms, "
+                         f"model expects {model.n_atoms}")
     if gsched.n_steps != schedule.n_steps:
         raise ValueError(f"guidance stages sum to {gsched.n_steps}, "
                          f"schedule has {schedule.n_steps} steps")
-    seeds, batch = _batch(seed)
+    seeds = list(seeds)
     stats = [SampleStats() for _ in seeds]
     guide = _make_multiscale_guide(ctx, gsched, template.atomic_numbers(), stats)
     x, _, step_s = _integrate(model, schedule, seeds, guide=guide, stats=stats)
@@ -531,7 +524,7 @@ def sample_guided(model: ScoreModel, ctx: GuidanceContext,
             models.append((template.with_coords(coords), st))
         else:
             models.append(None)
-    return _outcomes(models, stats, batch)
+    return _outcomes(models, stats)
 
 
 def gaussian_posterior_guidance(prior: GaussianMixturePrior,
@@ -557,13 +550,3 @@ def gaussian_posterior_guidance(prior: GaussianMixturePrior,
         return (s_hat - s_next) * s_hat * g
 
     return guide
-
-
-def sample_with_guide(model: ScoreModel, schedule: NoiseSchedule, seed, guide):
-    """Draw one sample under an arbitrary guidance hook; (n_atoms, 3) output.
-    A list of seeds draws a lockstep batch, as sample_unguided does.  The
-    hook always sees the (B, 3n) rows of the samples still running, with
-    B = 1 for one seed, and returns a displacement of that shape or None."""
-    seeds, batch = _batch(seed)
-    x, stats, _ = _integrate(model, schedule, seeds, guide=guide)
-    return _outcomes(x.reshape(len(seeds), -1, 3), stats, batch)

@@ -392,8 +392,8 @@ def test_criterion_10_zero_guidance_equivalence(demo):
     sched = NoiseSchedule(sigma_min=0.064, sigma_max=2560.0, n_steps=40,
                           churn=0.4)
     template = chain_template(prior.mode_coords(0))
-    guided, _ = sample_guided(prior, ctx, sched, gsched, template, seed=77)
-    unguided = sample_unguided(prior, sched, seed=77)
+    [(guided, _)] = sample_guided(prior, ctx, sched, gsched, template, [77])
+    [unguided] = sample_unguided(prior, sched, [77])
     with criterion(10, "zero-strength guidance is bit-identical to unguided "
                        "sampling"):
         assert guided.coords().tobytes() == unguided.tobytes()

@@ -537,6 +537,17 @@ class TestGuide:
             load_config(None, ["t_global=75"])
         assert not (tmp_path / "out" / "manifest.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["guide", "sample"])
+    def test_unpairable_reference_fails_before_drawing(self, workdir, tmp_path, capsys,
+                                                       command):
+        reference = tmp_path / "minority_b.pdb"
+        write_pdb(chain_template(hinged_chain_modes()[1], chain_id="B"), reference)
+        cfg = base_config(workdir, tmp_path, extra=f"reference = {reference}\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert ("reference: no atoms could be paired between sample and reference"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_log_reports_sample_stats(self, workdir, tmp_path, caplog):
         cfg = base_config(workdir, tmp_path, extra="n_replicates = 1\n")
         with caplog.at_level(logging.INFO, logger="cryoguide"):

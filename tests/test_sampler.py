@@ -1,6 +1,7 @@
 """Sampling engine tests: schedules, analytic priors, guidance plumbing."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -318,28 +319,35 @@ def two_atom_system():
 SMALL_SCHED = NoiseSchedule(sigma_min=0.05, sigma_max=40.0, n_steps=40)
 
 
+def one(outcomes):
+    """The outcome of a one-seed draw, which must not have failed."""
+    [out] = outcomes
+    assert not isinstance(out, Exception), out
+    return out
+
+
 class TestIntegration:
     def test_deterministic_per_seed(self):
         prior, _, _ = two_atom_system()
-        a = sample_unguided(prior, schedule=SMALL_SCHED, seed=5)
-        b = sample_unguided(prior, schedule=SMALL_SCHED, seed=5)
-        c = sample_unguided(prior, schedule=SMALL_SCHED, seed=6)
+        a = one(sample_unguided(prior, SMALL_SCHED, [5]))
+        b = one(sample_unguided(prior, SMALL_SCHED, [5]))
+        c = one(sample_unguided(prior, SMALL_SCHED, [6]))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_one_score_eval_per_step(self):
         prior, _, _ = two_atom_system()
         counting = CountingModel(prior)
-        sample_unguided(counting, schedule=SMALL_SCHED, seed=0)
+        one(sample_unguided(counting, SMALL_SCHED, [0]))
         assert counting.calls == 40
 
     def test_churn_consumes_noise_deterministically(self):
         prior, _, _ = two_atom_system()
         churny = NoiseSchedule(sigma_min=0.05, sigma_max=40.0, n_steps=40,
                                churn=0.4, churn_floor=0.05)
-        a = sample_unguided(prior, schedule=churny, seed=3)
-        b = sample_unguided(prior, schedule=churny, seed=3)
-        plain = sample_unguided(prior, schedule=SMALL_SCHED, seed=3)
+        a = one(sample_unguided(prior, churny, [3]))
+        b = one(sample_unguided(prior, churny, [3]))
+        plain = one(sample_unguided(prior, SMALL_SCHED, [3]))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, plain)
 
@@ -349,7 +357,7 @@ class TestIntegration:
         prior = GaussianMixturePrior([(mu, tau, 1.0)])
         # one lockstep batch; each draw is bitwise the one drawn alone
         draws = np.array([d.ravel() for d in
-                          sample_unguided(prior, schedule=SMALL_SCHED, seed=list(range(150)))])
+                          sample_unguided(prior, SMALL_SCHED, list(range(150)))])
         se_mean = tau / np.sqrt(150)
         assert np.all(np.abs(draws.mean(axis=0) - mu) < 5 * se_mean)
         pooled_std = (draws - mu).std()
@@ -370,7 +378,7 @@ class TestIntegration:
             seen.append((i, s_hat, s_next))
             return None
 
-        sample_with_guide(prior, churny, 0, probe)
+        one(sample_with_guide(prior, churny, [0], probe))
         assert [i for i, _, _ in seen] == list(range(40))
         for i, s_hat, s_next in seen:
             gamma = 0.3 if sigmas[i] > 0.05 else 0.0
@@ -379,32 +387,74 @@ class TestIntegration:
 
     def test_none_guide_is_bit_exact_noop(self):
         prior, _, _ = two_atom_system()
-        plain = sample_unguided(prior, schedule=SMALL_SCHED, seed=9)
-        hooked = sample_with_guide(prior, SMALL_SCHED, 9,
-                                   lambda *a: None)
+        plain = one(sample_unguided(prior, SMALL_SCHED, [9]))
+        hooked = one(sample_with_guide(prior, SMALL_SCHED, [9], lambda *a: None))
         np.testing.assert_array_equal(plain, hooked)
 
     def test_constant_guide_displaces(self):
         prior, _, _ = two_atom_system()
-        plain = sample_unguided(prior, schedule=SMALL_SCHED, seed=9)
-        shifted = sample_with_guide(prior, SMALL_SCHED, 9,
-                                    lambda *a: np.full(6, 0.01))
+        plain = one(sample_unguided(prior, SMALL_SCHED, [9]))
+        shifted = one(sample_with_guide(prior, SMALL_SCHED, [9],
+                                        lambda *a: np.full(6, 0.01)))
         assert not np.array_equal(plain, shifted)
         assert np.all(np.isfinite(shifted))
 
     def test_nonfinite_guide_aborts(self):
         prior, _, _ = two_atom_system()
-        with pytest.raises(SamplingError, match="non-finite coordinates"):
-            sample_with_guide(prior, SMALL_SCHED, 0,
-                              lambda *a: np.full(6, np.inf))
+        [out] = sample_with_guide(prior, SMALL_SCHED, [0], lambda *a: np.full(6, np.inf))
+        assert isinstance(out, SamplingError)
+        assert "non-finite coordinates" in str(out)
+
+
+def draw_three_ways(seeds):
+    """What each entry point returns for `seeds` on the two-atom system, as
+    coordinates or exceptions."""
+    prior, template, ctx = two_atom_system()
+    guide = gaussian_posterior_guidance(prior, prior.means[0] + 0.5, 0.5)
+    guided = sample_guided(prior, ctx, SMALL_SCHED, GuidanceSchedule(25, 5, 5, 5),
+                           template, seeds)
+    return {"unguided": sample_unguided(prior, SMALL_SCHED, seeds),
+            "with_guide": sample_with_guide(prior, SMALL_SCHED, seeds, guide),
+            "guided": [d if isinstance(d, Exception) else d[0].coords() for d in guided]}
+
+
+class TestSeedContract:
+    """Every entry point takes a sequence of seeds and returns a list with
+    one outcome per seed."""
+
+    @pytest.mark.parametrize("seeds", [(0, 1, 2), range(3), np.arange(3)],
+                             ids=["tuple", "range", "array"])
+    def test_any_sequence_is_a_batch(self, seeds):
+        want = draw_three_ways([0, 1, 2])
+        got = draw_three_ways(seeds)
+        for name, draws in got.items():
+            assert type(draws) is list and len(draws) == 3, name
+            assert [d.tobytes() for d in draws] == [d.tobytes() for d in want[name]], name
+            assert len({d.tobytes() for d in draws}) == 3, name
+
+    @pytest.mark.parametrize("seeds,error,message",
+                             [([], ValueError, "^need at least one seed$"),
+                              (0, TypeError, "not iterable"),
+                              (np.random.SeedSequence(0), TypeError, "not iterable")],
+                             ids=["empty", "int", "SeedSequence"])
+    def test_not_a_batch_raises_before_drawing(self, seeds, error, message):
+        prior, template, ctx = two_atom_system()
+        counting = CountingModel(prior)
+        guide = gaussian_posterior_guidance(prior, prior.means[0], 0.5)
+        for draw in (lambda: sample_unguided(counting, SMALL_SCHED, seeds),
+                     lambda: sample_with_guide(counting, SMALL_SCHED, seeds, guide),
+                     lambda: sample_guided(counting, ctx, SMALL_SCHED,
+                                           GuidanceSchedule(25, 5, 5, 5), template, seeds)):
+            with pytest.raises(error, match=message):
+                draw()
+        assert counting.calls == 0
 
 
 class TestGuidedTrajectory:
     def test_stage_accounting(self):
         prior, template, ctx = two_atom_system()
         gsched = GuidanceSchedule(25, 5, 5, 5)
-        model, stats = sample_guided(prior, ctx, SMALL_SCHED, gsched, template,
-                                     seed=0)
+        model, stats = one(sample_guided(prior, ctx, SMALL_SCHED, gsched, template, [0]))
         assert model.coords().shape == (2, 3)
         assert stats.score_evals == 40
         assert stats.global_evals == 5
@@ -415,15 +465,14 @@ class TestGuidedTrajectory:
         prior, template, ctx = two_atom_system()
         with pytest.raises(ValueError, match="stages sum"):
             sample_guided(prior, ctx, SMALL_SCHED, GuidanceSchedule(1, 1, 1, 1),
-                          template, seed=0)
+                          template, [0])
 
     def test_zero_lambda_equals_unguided_bitwise(self):
         prior, template, ctx = two_atom_system()
         gsched = GuidanceSchedule(25, 5, 5, 5, lambda_global_start=0.0,
                                   lambda_global_end=0.0, lambda_local=0.0)
-        guided, stats = sample_guided(prior, ctx, SMALL_SCHED, gsched, template,
-                                      seed=4)
-        plain = sample_unguided(prior, schedule=SMALL_SCHED, seed=4)
+        guided, stats = one(sample_guided(prior, ctx, SMALL_SCHED, gsched, template, [4]))
+        plain = one(sample_unguided(prior, SMALL_SCHED, [4]))
         np.testing.assert_array_equal(guided.coords(), plain)
         assert stats.global_evals == 0 and stats.local_evals == 0
 
@@ -433,9 +482,8 @@ class TestGuidedTrajectory:
         mu = prior.mode_coords(0)
         dists = {"guided": [], "plain": []}
         for seed in range(5):
-            guided, _ = sample_guided(prior, ctx, SMALL_SCHED, gsched, template,
-                                      seed=seed)
-            plain = sample_unguided(prior, schedule=SMALL_SCHED, seed=seed)
+            guided, _ = one(sample_guided(prior, ctx, SMALL_SCHED, gsched, template, [seed]))
+            plain = one(sample_unguided(prior, SMALL_SCHED, [seed]))
             dists["guided"].append(np.sqrt(np.mean((guided.coords() - mu) ** 2)))
             dists["plain"].append(np.sqrt(np.mean((plain - mu) ** 2)))
         assert np.mean(dists["guided"]) < np.mean(dists["plain"])
@@ -452,21 +500,19 @@ class TestGuidedTrajectory:
                               sinkhorn=SinkhornConfig(epsilon=1.0, reach=40.0))
         sched = NoiseSchedule(sigma_min=0.064, sigma_max=2560.0, n_steps=200,
                               churn=0.4)
-        _, stats = sample_guided(prior, ctx, sched, make_schedule("synthetic"),
-                                 template, seed=0)
-        assert stats.global_evals == 25
-        assert stats.ot_cross_solves == stats.global_evals
+        _, stats = one(sample_guided(prior, ctx, sched, make_schedule("synthetic"),
+                                     template, [0]))
+        assert stats.global_evals == 25     # one cross and one self solve each
         assert stats.ot_cross_unconverged == 0
-        assert stats.ot_cross_solves <= stats.ot_cross_iterations \
-            <= 60 * stats.ot_cross_solves
-        assert stats.ot_self_solves == 25 and stats.ot_self_unconverged == 0
-        assert stats.ot_self_solves <= stats.ot_self_iterations
+        assert stats.global_evals <= stats.ot_cross_iterations \
+            <= 60 * stats.global_evals
+        assert stats.ot_self_unconverged == 0
+        assert stats.global_evals <= stats.ot_self_iterations
 
     def test_sample_guided_writes_template(self):
         prior, template, ctx = two_atom_system()
         gsched = GuidanceSchedule(25, 5, 5, 5)
-        model, _ = sample_guided(prior, ctx, SMALL_SCHED, gsched, template,
-                                 seed=1)
+        model, _ = one(sample_guided(prior, ctx, SMALL_SCHED, gsched, template, [1]))
         assert len(model) == 2
         assert [a.atom_name for a in model.atoms] == \
             [a.atom_name for a in template.atoms]
@@ -477,7 +523,15 @@ class TestGuidedTrajectory:
         big = chain_template(np.zeros((5, 3)))
         with pytest.raises(ValueError, match="atoms"):
             sample_guided(prior, ctx, SMALL_SCHED, GuidanceSchedule(25, 5, 5, 5),
-                          big, seed=0)
+                          big, [0])
+
+    def test_reference_mismatch_rejected_before_drawing(self):
+        prior, template, ctx = two_atom_system()
+        counting = CountingModel(prior)
+        with pytest.raises(ValueError, match="^reference has 5 atoms, model expects 2$"):
+            sample_guided(counting, replace(ctx, reference=np.zeros((5, 3))), SMALL_SCHED,
+                          GuidanceSchedule(25, 5, 5, 5), template, [0])
+        assert counting.calls == 0
 
 
 class TestExactPosteriorGuidance:
@@ -555,7 +609,8 @@ class TestLockstepBatch:
         minority = two_mode_chain_prior()[0].mode_coords(1)
         prior, template, ctx = demo_context(minority + 0.5 if with_reference else None)
         for j in (0, 4):
-            alone, stats = sample_guided(prior, ctx, DEMO_SCHED, DEMO_STAGES, template, SEEDS[j])
+            alone, stats = one(sample_guided(prior, ctx, DEMO_SCHED, DEMO_STAGES, template,
+                                             [SEEDS[j]]))
             assert (stats.frame is not None) == with_reference
             for seeds in batches_holding(j):
                 model, got = sample_guided(prior, ctx, DEMO_SCHED, DEMO_STAGES, template,
@@ -566,7 +621,7 @@ class TestLockstepBatch:
     def test_unguided_with_churn(self):
         prior, _ = two_mode_chain_prior()
         for j in (1, 6):
-            alone = sample_unguided(prior, DEMO_SCHED, SEEDS[j])
+            alone = one(sample_unguided(prior, DEMO_SCHED, [SEEDS[j]]))
             for seeds in batches_holding(j):
                 got = sample_unguided(prior, DEMO_SCHED, seeds)[seeds.index(SEEDS[j])]
                 assert got.tobytes() == alone.tobytes()
@@ -575,7 +630,7 @@ class TestLockstepBatch:
         prior = GaussianMixturePrior([(np.zeros(6), 1.0, 1.0)])
         guide = gaussian_posterior_guidance(prior, np.linspace(-1, 1, 6), 0.5)
         for j in (2, 3):
-            alone = sample_with_guide(prior, DEMO_SCHED, SEEDS[j], guide)
+            alone = one(sample_with_guide(prior, DEMO_SCHED, [SEEDS[j]], guide))
             for seeds in batches_holding(j):
                 got = sample_with_guide(prior, DEMO_SCHED, seeds, guide)
                 assert got[seeds.index(SEEDS[j])].tobytes() == alone.tobytes()
@@ -595,13 +650,7 @@ class TestBatchFailures:
     the others keep their bytes, and nothing warns."""
 
     def draw_all(self, draw):
-        alone = []
-        for seed in SEEDS:
-            try:
-                alone.append(draw(seed))
-            except Exception as exc:
-                alone.append(exc)
-        return alone, draw(list(SEEDS))
+        return [draw([seed])[0] for seed in SEEDS], draw(list(SEEDS))
 
     def check(self, alone, batch):
         for a, b in zip(alone, batch):
