@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates
 
 from ._kernels import splat
 from .forward import atom_sigma
@@ -149,6 +148,7 @@ _SCAN_KEEP = 16   # scan candidates refined at the first level
 def _level_field(target, voxel, sigma_atom, sigma_x):
     """Zero-mean target blurred by hypot(sigma_atom, sqrt(2) * sigma_x): the
     pose score at blur level sigma_x reads this field at the atoms."""
+    from scipy.ndimage import gaussian_filter   # local: `import cryoguide` must not load scipy
     U = gaussian_filter(target, np.hypot(sigma_atom, np.sqrt(2) * sigma_x) / voxel,
                         mode="constant", truncate=4.0)
     U -= U.mean()
@@ -214,6 +214,9 @@ def _refine(coords, amps, com, R, t, U, origin, voxel, sigma_eff):
     Every pose does the arithmetic it would do alone, so the result is bitwise
     that of refining the poses one at a time.
     """
+    # local, and once per call rather than per move: `import cryoguide` must
+    # not load scipy
+    from scipy.ndimage import map_coordinates
     axes = np.eye(3)
 
     def score(Rc, tc):

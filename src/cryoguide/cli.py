@@ -130,10 +130,10 @@ def cmd_align(args) -> int:
         raise ConfigError(f"align: atom counts differ "
                           f"({len(mobile)} vs {len(target)})")
     transform, rmsd = kabsch(mobile.coords(), target.coords())
-    np.set_printoptions(precision=6, suppress=True)
-    print("rotation:")
-    print(transform.rotation)
-    print(f"translation: {transform.translation}")
+    with np.printoptions(precision=6, suppress=True):
+        print("rotation:")
+        print(transform.rotation)
+        print(f"translation: {transform.translation}")
     print(f"rmsd: {rmsd:.6f} A")
     if args.out:
         write_pdb(mobile.with_coords(transform.apply(mobile.coords())), args.out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from . import _kernels
 from .structure import ATOMIC_NUMBERS, AtomicModel
@@ -49,6 +48,7 @@ class BlurOperator:
         """Separable correlation with zero padding; self-adjoint by symmetry."""
         if self.sigma_b == 0:
             return data
+        from scipy import ndimage   # local: `import cryoguide` must not load scipy
         k = self.kernel1d(voxel_size)
         out = data
         for axis in range(3):

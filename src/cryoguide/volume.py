@@ -11,7 +11,6 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from ._kernels._splat_py import stencils
 
@@ -22,6 +21,7 @@ class MapFormatError(ValueError):
 
 HEADER_SIZE = 1024
 _MODE_DTYPES = {0: np.dtype("<i1"), 1: np.dtype("<i2"), 2: np.dtype("<f4")}
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -134,26 +134,40 @@ def read_mrc(path) -> DensityMap:
 
 
 def write_mrc(dmap: DensityMap, path) -> None:
-    """Write a mode-2 (float32) MRC2014 volume; read_mrc inverts it exactly."""
-    data32 = dmap.data.astype("<f4")
+    """Write a mode-2 (float32) MRC2014 volume; read_mrc inverts it exactly.
+
+    Data, origin or cell lengths beyond float32's range, which the file
+    cannot hold, raise ValueError before the file is opened.
+    """
     nx, ny, nz = dmap.data.shape
+    cell = (nx * dmap.voxel_size, ny * dmap.voxel_size, nz * dmap.voxel_size)
+    for what, lo, hi in (("map data", dmap.data.min(), dmap.data.max()),
+                         ("origin", min(dmap.origin), max(dmap.origin)),
+                         ("cell lengths", min(cell), max(cell))):
+        if max(-lo, hi) > _F32_MAX:
+            raise ValueError(f"{path}: {what} out of float32 range "
+                             f"(min {lo:g}, max {hi:g}; limit {_F32_MAX:g})")
+    data32 = dmap.data.astype("<f4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, rms = data32.mean(), data32.std()
+    if not np.isfinite([mean, rms]).all():   # the float32 sums overflowed
+        mean, rms = data32.mean(dtype=np.float64), data32.std(dtype=np.float64)
     header = bytearray(HEADER_SIZE)
     struct.pack_into("<4i", header, 0, nx, ny, nz, 2)
     struct.pack_into("<3i", header, 16, 0, 0, 0)
     struct.pack_into("<3i", header, 28, nx, ny, nz)
-    struct.pack_into("<3f", header, 40,
-                     nx * dmap.voxel_size, ny * dmap.voxel_size, nz * dmap.voxel_size)
+    struct.pack_into("<3f", header, 40, *cell)
     struct.pack_into("<3f", header, 52, 90.0, 90.0, 90.0)
     struct.pack_into("<3i", header, 64, 1, 2, 3)
     struct.pack_into("<3f", header, 76,
-                     float(data32.min()), float(data32.max()), float(data32.mean()))
+                     float(data32.min()), float(data32.max()), float(mean))
     struct.pack_into("<i", header, 88, 1)          # ISPG: 3D volume
     struct.pack_into("<i", header, 92, 0)          # no extended header
     struct.pack_into("<i", header, 108, 20140)     # NVERSION
     struct.pack_into("<3f", header, 196, *dmap.origin)
     header[208:212] = b"MAP "
     header[212:216] = bytes([0x44, 0x41, 0x00, 0x00])
-    struct.pack_into("<f", header, 216, float(data32.std()))
+    struct.pack_into("<f", header, 216, float(rms))
     struct.pack_into("<i", header, 220, 1)
     label = b"cryoguide"
     header[224:224 + len(label)] = label
@@ -175,6 +189,7 @@ def dust(dmap: DensityMap, min_size: int) -> DensityMap:
     """Zero connected components (26-connectivity) smaller than min_size voxels."""
     if min_size <= 1:
         return dmap
+    from scipy import ndimage   # local: `import cryoguide` must not load scipy
     labels, n = ndimage.label(dmap.data != 0, structure=np.ones((3, 3, 3)))
     if n == 0:
         return dmap

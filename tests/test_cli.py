@@ -216,6 +216,15 @@ class TestAlign:
         aligned = read_pdb(out)
         np.testing.assert_allclose(aligned.coords(), model.coords(), atol=2e-3)
 
+    def test_keeps_numpy_print_options(self, workdir, capsys):
+        """align prints at 6 digits without changing the process's options."""
+        pdb = str(workdir / "chain.pdb")
+        with np.printoptions(precision=3, suppress=False):
+            before = np.get_printoptions()
+            assert main(["align", pdb, pdb]) == 0
+            assert np.get_printoptions() == before
+        assert "rmsd: 0.000000 A" in capsys.readouterr().out
+
     def test_count_mismatch(self, workdir, tmp_path, capsys):
         model = read_pdb(workdir / "chain.pdb")
         short = model.__class__(model.atoms[:10])

@@ -190,6 +190,31 @@ class TestWriteMrc:
         assert dmean == pytest.approx(data.mean(), rel=1e-6)
         assert struct.unpack("<i", blob[108:112])[0] == 20140
 
+    def test_float32_maximum_round_trips(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        data = np.full((2, 3, 4), top)
+        data[0] = -top
+        m = DensityMap(data=data, voxel_size=1.0, origin=np.array([top, -top, 0.0]))
+        path = tmp_path / "max.mrc"
+        write_mrc(m, path)
+        back = read_mrc(path)
+        assert np.array_equal(back.data, data)
+        assert np.array_equal(back.origin, m.origin)
+        dmin, dmax, dmean = struct.unpack("<3f", path.read_bytes()[76:88])
+        assert (dmin, dmax) == (-top, top) and np.isfinite(dmean)
+
+    @pytest.mark.parametrize("what, dmap", [
+        ("map data", DensityMap(data=np.full((3, 3, 3), 1e39), voxel_size=1.0)),
+        ("origin", DensityMap(data=np.ones((3, 3, 3)), voxel_size=1.0,
+                              origin=np.array([0.0, 1e39, 0.0]))),
+        ("cell lengths", DensityMap(data=np.ones((3, 3, 3)), voxel_size=2e38))])
+    def test_beyond_float32_rejected_before_writing(self, tmp_path, what, dmap):
+        path = tmp_path / "big.mrc"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {what} out of float32 range")):
+            write_mrc(dmap, path)
+        assert not path.exists()
+
 
 class TestDensityMap:
     def test_validation(self):
