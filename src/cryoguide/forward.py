@@ -95,8 +95,6 @@ def density_loss(model: AtomicModel, target: DensityMap, resolution: float,
                  blur: BlurOperator = BlurOperator()) -> float:
     """Squared-error data fit ||y - B(Gamma(x))||^2 summed over voxels."""
     sim = simulate_map(model, target, resolution, blur)
-    if not sim.same_grid(target):
-        raise ValueError("density_loss: grid mismatch between simulation and target")
     diff = target.data - sim.data
     return float(np.sum(diff * diff))
 

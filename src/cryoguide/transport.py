@@ -24,7 +24,7 @@ iterations where the alternating updates need thousands.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,8 +172,8 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
     cloud Y (M, 3) with masses b (M,).  Returns f (B, N), g (B, M), gamma
     (B, N, M) and per-row converged flags and iteration counts.  Every row
     takes its own sweeps, Newton steps, step halvings and stop, and leaves
-    the stack when it converges, so its result is bitwise that of its cloud
-    solved alone.
+    the stack with its result when it stops, so its result is bitwise that
+    of its cloud solved alone.
 
     The dual's gradient is the marginal residual (a e^{-f/rho} - gamma 1,
     b e^{-g/rho} - gamma^T 1), with a and b in place of the exponentials
@@ -191,26 +191,21 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
     eps = cfg.epsilon
     balanced = cfg.balanced
     rho = None if balanced else cfg.reach ** 2
-    C = _cost(X, Y)
     with np.errstate(divide="ignore"):
         la = np.log(a)[:, :, None]
         lb = np.log(b)
     damp = _damp(cfg)
-    B, n, m = C.shape
-
-    # g-independent / f-independent parts of the update arguments
-    Ce = C / eps
-    fk = lb - Ce
-    gk = la - Ce
+    Ce = _cost(X, Y) / eps
+    B, n, m = Ce.shape
     pk = la + lb - Ce   # log-plan = pk + f/eps + g/eps
 
-    def point(f, g, rows=None):
+    def point(f, g, rows):
         """Dual value (up to a constant), the f and g halves of the marginal
         residual and its largest magnitude, plan and relaxed marginals
-        (None when balanced) at (f, g) for all rows or the given ones;
-        overflow gives a non-finite value or residual."""
-        ar, pkr = (a, pk) if rows is None else (a[rows], pk[rows])
-        gamma = np.exp(pkr + (f[:, :, None] + g[:, None, :]) / eps)
+        (None when balanced) at (f, g) for the given rows; overflow gives a
+        non-finite value or residual."""
+        ar = a[rows]
+        gamma = np.exp(pk[rows] + (f[:, :, None] + g[:, None, :]) / eps)
         if balanced:
             ua = ub = None
             value = _rowdot(ar, f) + _rowdot(b, g) - eps * _sum(gamma, axis=(1, 2))
@@ -226,6 +221,13 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
         # np.maximum, not max: a NaN in either half must carry through
         res = np.maximum(_max(np.abs(rf), axis=1), _max(np.abs(rg), axis=1))
         return value, rf, rg, res, gamma, ua, ub
+
+    def sweep(g, rows):
+        """One alternating sweep from g for the given rows, and its point."""
+        Cr = Ce[rows]
+        fs = -damp * eps * _lse(lb - Cr + g[:, None, :] / eps, axis=2)
+        gs = -damp * eps * _lse(la[rows] - Cr + fs[:, :, None] / eps, axis=1)
+        return fs, gs, point(fs, gs, rows)
 
     def newton(f, g, value, rf, rg, res, gamma, ua, ub):
         """One damped Newton step per row: the new (f, g), their point and
@@ -252,7 +254,7 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
         for _ in range(_MAX_HALVINGS):
             tc = np.array(t)[:, None]
             ft, gt = f + tc * df, g + tc * dg
-            trial = point(ft, gt)
+            trial = point(ft, gt, slice(None))
             value_t, res_t = trial[0].tolist(), trial[3].tolist()
             # the residual test accepts steps whose rise in the dual is
             # below float resolution at tight tolerances
@@ -266,58 +268,35 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
                 t[i] *= 0.5
         return ft, gt, trial, sorted(failed + searching)
 
+    f_out, g_out, gamma_out = np.empty((B, n)), np.empty((B, m)), np.empty((B, n, m))
+    converged, iterations = np.empty(B, dtype=bool), np.empty(B, dtype=int)
     live = np.arange(B)   # the samples that the rows below hold
-    finished = []         # (samples, f, g, gamma, converged, iterations)
-    f = np.zeros((B, n))
     g = np.zeros((B, m))
-    state = None   # point(f, g)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, cfg.max_iters + 1):
-            sweep = None   # the rows that take a sweep: None for all
-            if it > _WARMUP_SWEEPS:
-                ft, gt, trial, sweep = newton(f, g, *state)
-                if not sweep:
-                    f, g, state = ft, gt, trial
-                else:
-                    took = np.ones(len(f), dtype=bool)
-                    took[sweep] = False
-                    f, g = np.where(took[:, None], ft, f), np.where(took[:, None], gt, g)
-                    state = [None if x is None else
-                             np.where(took.reshape(-1, *[1] * (x.ndim - 1)), x, y)
-                             for x, y in zip(trial, state)]
-            if sweep is None or sweep:
-                rows = slice(None) if sweep is None else sweep
-                fs = -damp * eps * _lse(fk[rows] + g[rows][:, None, :] / eps, axis=2)
-                gs = -damp * eps * _lse(gk[rows] + fs[:, :, None] / eps, axis=1)
-                swept = point(fs, gs, sweep)
-                if sweep is None:
-                    f, g, state = fs, gs, swept
-                else:
-                    f[sweep], g[sweep] = fs, gs
-                    for x, y in zip(state, swept):
+            if it <= _WARMUP_SWEEPS:
+                f, g, state = sweep(g, slice(None))
+            else:
+                ft, gt, trial, failed = newton(f, g, *state)
+                if failed:   # these rows take a sweep from their old g instead
+                    ft[failed], gt[failed], swept = sweep(g[failed], failed)
+                    for x, y in zip(trial, swept):
                         if x is not None:
-                            x[sweep] = y
-            done = [r < cfg.tol for r in state[3].tolist()]
-            if all(done):
-                finished.append((live, f, g, state[4], True, it))
-                break
-            if any(done):
-                done = np.array(done)
-                finished.append((live[done], f[done], g[done], state[4][done], True, it))
-                keep = ~done
-                live, f, g, fk, gk, pk, a = (x[keep] for x in (live, f, g, fk, gk, pk, a))
+                            x[failed] = y
+                f, g, state = ft, gt, trial
+            # a row leaves the stack with its result when it stops
+            done = state[3] < cfg.tol
+            stop = done if it < cfg.max_iters else np.ones_like(done)
+            if stop.any():
+                rows = live[stop]
+                f_out[rows], g_out[rows], gamma_out[rows] = f[stop], g[stop], state[4][stop]
+                converged[rows], iterations[rows] = done[stop], it
+                if stop.all():
+                    break
+                keep = ~stop
+                live, f, g, Ce, pk, a, la = (x[keep] for x in (live, f, g, Ce, pk, a, la))
                 state = [None if x is None else x[keep] for x in state]
-        else:
-            finished.append((live, f, g, state[4], False, cfg.max_iters))
-
-    if len(finished) == 1:   # every row stopped together
-        _, f, g, gamma, conv, it = finished[0]
-        return f, g, gamma, np.full(B, conv), np.full(B, it)
-    f, g, gamma = np.empty((B, n)), np.empty((B, m)), np.empty((B, n, m))
-    converged, iterations = np.empty(B, dtype=bool), np.empty(B, dtype=int)
-    for rows, *parts in finished:
-        f[rows], g[rows], gamma[rows], converged[rows], iterations[rows] = parts
-    return f, g, gamma, converged, iterations
+    return f_out, g_out, gamma_out, converged, iterations
 
 
 def _solve_self(X, a, cfg: SinkhornConfig):
@@ -391,12 +370,13 @@ def sinkhorn_divergence(X: PointCloud, Y: PointCloud,
     return cxy - 0.5 * cxx - 0.5 * cyy
 
 
-def divergence_grad(X: Sequence[PointCloud], Y: PointCloud,
+def divergence_grad(X: Iterable[PointCloud], Y: PointCloud,
                     cfg: SinkhornConfig = SinkhornConfig(),
                     on_plans: Callable[[TransportPlan, TransportPlan], None] | None = None
                     ) -> list[np.ndarray]:
     """Gradient of sinkhorn_divergence with respect to the positions of each
-    cloud of X, a sequence of clouds of one size.
+    cloud of X, any iterable of clouds of one size; no clouds or clouds of
+    different sizes raise ValueError before any solve.
 
     Envelope form: the converged plans are held fixed, so for the half-sum
     of squared distances cost the cross term contributes
@@ -409,6 +389,11 @@ def divergence_grad(X: Sequence[PointCloud], Y: PointCloud,
     order, so a caller can keep their iteration counts and convergence
     flags.
     """
+    X = list(X)
+    sizes = sorted({len(c) for c in X})
+    if len(sizes) != 1:
+        raise ValueError("divergence_grad needs one or more clouds of one size, "
+                         f"got {len(X)} clouds of sizes {sizes}")
     Q = Y.points
     F, G, gammas, converged, iterations = _solve(
         np.stack([c.points for c in X]), np.stack([_masses(c) for c in X]),

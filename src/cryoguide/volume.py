@@ -22,6 +22,7 @@ class MapFormatError(ValueError):
 HEADER_SIZE = 1024
 _MODE_DTYPES = {0: np.dtype("<i1"), 1: np.dtype("<i2"), 2: np.dtype("<f4")}
 _F32_MAX = float(np.finfo(np.float32).max)
+_F32_TINY = float(np.finfo(np.float32).tiny)   # smallest normal float32
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,6 @@ class DensityMap:
         """World coordinates of every voxel center, shape (w, h, d, 3)."""
         grids = np.meshgrid(*(np.arange(n) for n in self.data.shape), indexing="ij")
         return np.stack(grids, axis=-1) * self.voxel_size + self.origin
-
-    def same_grid(self, other: "DensityMap") -> bool:
-        return (self.shape == other.shape
-                and abs(self.voxel_size - other.voxel_size) < 1e-9
-                and np.allclose(self.origin, other.origin, atol=1e-9))
 
 
 def read_mrc(path) -> DensityMap:
@@ -136,8 +132,9 @@ def read_mrc(path) -> DensityMap:
 def write_mrc(dmap: DensityMap, path) -> None:
     """Write a mode-2 (float32) MRC2014 volume; read_mrc inverts it exactly.
 
-    Data, origin or cell lengths beyond float32's range, which the file
-    cannot hold, raise ValueError before the file is opened.
+    Data, origin or cell lengths beyond float32's range, or cell lengths
+    below its smallest normal value, which the file cannot hold, raise
+    ValueError before the file is opened.
     """
     nx, ny, nz = dmap.data.shape
     cell = (nx * dmap.voxel_size, ny * dmap.voxel_size, nz * dmap.voxel_size)
@@ -147,6 +144,9 @@ def write_mrc(dmap: DensityMap, path) -> None:
         if max(-lo, hi) > _F32_MAX:
             raise ValueError(f"{path}: {what} out of float32 range "
                              f"(min {lo:g}, max {hi:g}; limit {_F32_MAX:g})")
+    if min(cell) < _F32_TINY:
+        raise ValueError(f"{path}: cell lengths {cell} below float32's smallest "
+                         f"normal value {_F32_TINY:g}")
     data32 = dmap.data.astype("<f4")
     with np.errstate(over="ignore", invalid="ignore"):
         mean, rms = data32.mean(), data32.std()

@@ -23,6 +23,11 @@ from cryoguide.volume import dust, write_mrc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TESTS = Path(__file__).resolve().parent
+# the thread variables as this module's collection saw them, before
+# perfbench/tests is collected
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "CRYOGUIDE_WORKERS")
+COLLECTED_WITH = {v: os.environ.get(v) for v in THREAD_VARS}
 
 
 def run_cold(code: str, *args: str) -> str:
@@ -103,9 +108,8 @@ def test_deferred_imports_work_from_a_cold_start(tmp_path):
 
     Both sides are fresh interpreters with one environment.  The test
     process fixed its BLAS thread count when it loaded numpy, and a thread
-    variable set since (the benchmark's modules set OMP_NUM_THREADS=1 when
-    imported) reaches only a child, changing the summation order of the
-    docking score's map-sized dot product.
+    variable set since reaches only a child, changing the summation order
+    of the docking score's map-sized dot product.
     """
     got = {}
     for start in ("cold", "warm"):
@@ -119,3 +123,10 @@ def test_deferred_imports_work_from_a_cold_start(tmp_path):
         cold = got["cold"][name]
         assert cold.dtype == value.dtype and cold.shape == value.shape
         assert cold.tobytes() == value.tobytes(), name
+
+
+def test_collection_leaves_thread_variables_alone():
+    """Collecting perfbench/tests imports perfbench/run.py, which pins the
+    thread variables for the benchmark; the root conftest.py puts them back
+    before any test runs."""
+    assert {v: os.environ.get(v) for v in THREAD_VARS} == COLLECTED_WITH

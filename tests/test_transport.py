@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -594,6 +595,19 @@ class TestStackedCrossSolve:
         assert_rows_match_alone(X, a, Y, b, cfg, logs)
         assert [log["fallbacks"] for log, _ in logs] == [0, 0, 1, 0, 0]
 
+    def test_peak_memory(self):
+        """The solve holds two per-row (B, N, M) inputs, the output plans and
+        its working plans: well under ten stacks at its peak."""
+        X, a, Y, b = stacked_case(0, 8, n=300, m=75)
+        cfg = SinkhornConfig(epsilon=1.0, reach=10.0)
+        tracemalloc.start()
+        try:
+            transport._solve(X, a, Y, b, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * X.shape[0] * X.shape[1] * len(Y) * 8
+
 
 class TestDivergence:
     def test_self_divergence_vanishes(self):
@@ -706,3 +720,22 @@ class TestGradient:
             for got, want in zip(plans, alone_plans[0]):
                 assert np.array_equal(got.gamma, want.gamma)
                 assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    def test_takes_a_generator(self):
+        rng = np.random.default_rng(37)
+        Xs = [PointCloud(rng.uniform(-3, 3, (5, 3))) for _ in range(3)]
+        Y = PointCloud(rng.uniform(-3, 3, (7, 3)))
+        got = divergence_grad((X for X in Xs), Y)
+        want = divergence_grad(Xs, Y)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("sizes, message", [([], r"0 clouds of sizes \[\]"),
+                                                ([4, 5, 4], r"3 clouds of sizes \[4, 5\]")])
+    def test_rejects_no_clouds_and_mixed_sizes(self, monkeypatch, sizes, message):
+        def no_solve(*args):
+            raise AssertionError("solved before the clouds were checked")
+
+        monkeypatch.setattr(transport, "_solve", no_solve)
+        Xs = [clouds(s, n=n)[0] for s, n in enumerate(sizes)]
+        with pytest.raises(ValueError, match=message):
+            divergence_grad(iter(Xs), clouds(9, n=3)[0])

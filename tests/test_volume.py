@@ -215,6 +215,20 @@ class TestWriteMrc:
             write_mrc(dmap, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("voxel", [1e-46, 1e-44])   # zero and subnormal in float32
+    def test_underflowing_cell_lengths_rejected_before_writing(self, tmp_path, voxel):
+        path = tmp_path / "tiny.mrc"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: cell lengths")) as err:
+            write_mrc(DensityMap(data=np.ones((3, 3, 3)), voxel_size=voxel), path)
+        assert "smallest normal" in str(err.value)
+        assert not path.exists()
+
+    def test_small_normal_cell_lengths_round_trip(self, tmp_path):
+        path = tmp_path / "small.mrc"
+        write_mrc(DensityMap(data=np.ones((3, 3, 3)), voxel_size=1e-30), path)
+        assert read_mrc(path).voxel_size == pytest.approx(1e-30, rel=1e-6)
+
 
 class TestDensityMap:
     def test_validation(self):
