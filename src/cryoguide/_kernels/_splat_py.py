@@ -10,16 +10,23 @@ The contract (inputs are checked by `cryoguide._kernels` before they get here):
       Returns per-atom sums  sum_v field[v] * amp * exp(-d^2/(2 sigma^2)) * (v_world - p) / sigma^2,
       i.e. the inner product of `field` with the coordinate derivative of the splat.
 
+Both also take a stack: coords (B, n, 3), the same amps (n,) for every row,
+and, for splat_grad, a field (B, w, h, d); they then return (B, w, h, d) maps
+and (B, n, 3) gradients.  An (n, 3) call is the stack of one.
+
 Each atom touches the box of voxels within 4 sigma of it along every axis,
 clipped to the grid.  `stencils` builds those boxes for a block of atoms at
 once, as fixed L x L x L windows (L the widest box) with a mask of the box, and
 caps each block at _CHUNK_ENTRIES window entries so temporaries stay small.
+The atoms of row b index the b-th grid of a (B, w, h, d) buffer: the offset
+b * w is added to the first axis's index terms, not to every window entry.
 
 The floating-point result is the same as visiting the atoms one by one in input
-order: offsets are `idx * voxel + origin - p` and `d2 = (dx^2 + dy^2) + dz^2`;
-`splat` scatters with the unbuffered, in-order `np.add.at`, so each voxel sums
-its atoms in input order; `splat_grad` sums each atom's box as one C-ordered
-run with `np.sum`'s pairwise order.
+order, and each row of a stack is bitwise its own call: offsets are
+`idx * voxel + origin - p` and `d2 = (dx^2 + dy^2) + dz^2`; `splat` scatters
+with the unbuffered, in-order `np.add.at`, so each voxel sums its own row's
+atoms in input order; `splat_grad` sums each atom's box as one C-ordered run
+with `np.sum`'s pairwise order.
 """
 
 import numpy as np
@@ -30,14 +37,18 @@ _CHUNK_ENTRIES = 1 << 16  # window entries per block of atoms
 def stencils(coords, origin, voxel, shape, rad):
     """Yield the voxel windows of the atoms whose box within `rad` meets the grid.
 
-    Yields (atoms, box, flat, ax, d2) per block of m atoms, in input order:
-    atoms, their indices into `coords`; box, an (m, L, L, L) mask of each
-    atom's clipped box, which starts at window index 0 on every axis; flat,
-    the flat voxel index of every window entry (clipped into the grid where
-    box is False); ax, the three world offsets v_world - p, shaped to broadcast
-    to (m, L, L, L); d2, the squared distance.
+    coords is (n, 3), or a stack (B, n, 3) whose row b lies on the b-th grid
+    of a (B, *shape) buffer.  Yields (atoms, box, flat, ax, d2) per block of
+    m atoms, in input order: atoms, their indices into the stack's B * n
+    atoms taken row by row; box, an (m, L, L, L) mask of each atom's clipped
+    box, which starts at window index 0 on every axis; flat, the flat index
+    into the buffer of every window entry (clipped into the atom's grid where
+    box is False); ax, the three world offsets v_world - p, shaped to
+    broadcast to (m, L, L, L); d2, the squared distance.
     """
     coords = np.asarray(coords, dtype=np.float64)
+    n = coords.shape[-2]
+    coords = coords.reshape(-1, 3)
     origin = np.asarray(origin, dtype=np.float64)
     top = np.asarray(shape) - 1
     c = (coords - origin) / voxel
@@ -48,6 +59,7 @@ def stencils(coords, origin, voxel, shape, rad):
         return
     lo = lo[atoms].astype(np.int64)
     hi = hi[atoms].astype(np.int64)
+    plane = atoms // n * shape[0]   # first-axis index of each atom's grid
     L = int((hi - lo).max()) + 1
     k = np.arange(L)
     m = max(1, _CHUNK_ENTRIES // L ** 3)
@@ -61,7 +73,8 @@ def stencils(coords, origin, voxel, shape, rad):
         box = (inside[:, 0, :, None, None] & inside[:, 1, None, :, None]
                & inside[:, 2, None, None, :])
         idx = np.minimum(idx, top[:, None])
-        flat = ((idx[:, 0, :, None, None] * shape[1] + idx[:, 1, None, :, None])
+        first = idx[:, 0] + plane[s:s + m, None]
+        flat = ((first[:, :, None, None] * shape[1] + idx[:, 1, None, :, None])
                 * shape[2] + idx[:, 2, None, None, :])
         yield atoms[s:s + m], box, flat, ax, d2
 
@@ -73,24 +86,27 @@ def _weights(a, d2, sigma):
 
 
 def splat(coords, amps, shape, origin, voxel, sigma):
-    amps = np.asarray(amps, dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.float64)
     shape = tuple(shape)
-    data = np.zeros(shape, dtype=np.float64)
+    data = np.zeros(coords.shape[:-2] + shape, dtype=np.float64)
+    amps = np.asarray(amps, dtype=np.float64)
     out = data.reshape(-1)
     for atoms, box, flat, _, d2 in stencils(coords, origin, voxel, shape, 4.0 * sigma):
-        np.add.at(out, flat[box], _weights(amps[atoms], d2, sigma)[box])
+        np.add.at(out, flat[box], _weights(amps[atoms % len(amps)], d2, sigma)[box])
     return data
 
 
 def splat_grad(coords, amps, field, origin, voxel, sigma):
-    amps = np.asarray(amps, dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.float64)
     field = np.ascontiguousarray(field, dtype=np.float64)
-    grad = np.zeros((len(coords), 3), dtype=np.float64)
+    grad = np.zeros(coords.shape, dtype=np.float64)
+    amps = np.asarray(amps, dtype=np.float64)
     invs2 = 1.0 / (sigma * sigma)
     values = field.reshape(-1)
-    for atoms, box, flat, ax, d2 in stencils(coords, origin, voxel, field.shape,
+    out = grad.reshape(-1, 3)
+    for atoms, box, flat, ax, d2 in stencils(coords, origin, voxel, field.shape[-3:],
                                              4.0 * sigma):
-        fw = values[flat] * _weights(amps[atoms], d2, sigma) * invs2
+        fw = values[flat] * _weights(amps[atoms % len(amps)], d2, sigma) * invs2
         sizes = np.count_nonzero(box, axis=(1, 2, 3))
         starts = np.cumsum(sizes) - sizes
         terms = [(fw * a)[box] for a in ax]
@@ -98,5 +114,5 @@ def splat_grad(coords, amps, field, origin, voxel, sigma):
             rows = np.flatnonzero(sizes == size)
             run = starts[rows, None] + np.arange(size)
             for i in range(3):
-                grad[atoms[rows], i] = terms[i][run].sum(axis=1)
+                out[atoms[rows], i] = terms[i][run].sum(axis=1)
     return grad

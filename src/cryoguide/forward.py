@@ -7,6 +7,7 @@ nominal resolution) and B is an isotropic Gaussian blur.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,11 +17,14 @@ from .structure import ATOMIC_NUMBERS, AtomicModel
 from .volume import DensityMap
 
 SIGMA_PER_RESOLUTION = 0.225  # splat width sigma = 0.225 * nominal resolution (A)
+# Largest (rows, w, h, d) map buffer density_loss_grad_coords holds for one
+# chunk of a stack: a 200^3 map is 64 MB a row, 1.6 GB for 25 rows at once.
+_STACK_BYTES = 1 << 24
 
 
 def atom_sigma(resolution: float) -> float:
-    if not resolution > 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < math.inf:    # NaN fails too
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     return SIGMA_PER_RESOLUTION * resolution
 
 
@@ -45,13 +49,15 @@ class BlurOperator:
         return k / k.sum()
 
     def apply(self, data: np.ndarray, voxel_size: float) -> np.ndarray:
-        """Separable correlation with zero padding; self-adjoint by symmetry."""
+        """Separable correlation with zero padding; self-adjoint by symmetry.
+        Blurs the last three axes, so each map of a (B, w, h, d) stack is
+        blurred as it is alone."""
         if self.sigma_b == 0:
             return data
         from scipy import ndimage   # local: `import cryoguide` must not load scipy
         k = self.kernel1d(voxel_size)
         out = data
-        for axis in range(3):
+        for axis in (-3, -2, -1):
             out = ndimage.correlate1d(out, k, axis=axis, mode="constant", cval=0.0)
         return out
 
@@ -109,19 +115,35 @@ def density_loss_grad(model: AtomicModel, target: DensityMap, resolution: float,
 def density_loss_grad_coords(coords: np.ndarray, amps: np.ndarray, target: DensityMap,
                              resolution: float, blur: BlurOperator = BlurOperator()
                              ) -> np.ndarray:
-    """density_loss_grad on raw coordinate/amplitude arrays (sampler hot path).
+    """density_loss_grad on raw coordinates (n, 3), or on a stack (B, n, 3)
+    of models that share the amplitudes (n,) (sampler hot path).
+
+    A stack is taken a chunk of rows at a time, each chunk's maps within
+    _STACK_BYTES, and each row's gradient has the bits of its own call.
+    """
+    sigma = atom_sigma(resolution)
+    coords = np.asarray(coords, dtype=np.float64)
+    stack = coords[None] if coords.ndim == 2 else coords   # the kernels check the shape
+    rows = max(1, _STACK_BYTES // (8 * target.data.size))
+    grad = np.concatenate([_loss_grad_rows(stack[s:s + rows], amps, target, sigma, blur)
+                           for s in range(0, len(stack), rows)])
+    return grad[0] if coords.ndim == 2 else grad
+
+
+def _loss_grad_rows(stack, amps, target, sigma, blur):
+    """The loss gradients of a stack whose maps are held at once; they are
+    freed when it returns, before the next chunk's are made.
 
     The blur is self-adjoint, so the chain rule reduces to correlating the
     residual with the blur kernel and differentiating the splats against it.
-    The residual is formed in place, in the simulated map's own array.
+    The residual is formed in place, in the simulated maps' own array.
     """
-    sigma = atom_sigma(resolution)
-    sim = _kernels.splat(coords, amps, target.data.shape, target.origin,
+    sim = _kernels.splat(stack, amps, target.data.shape, target.origin,
                          target.voxel_size, sigma)
     if blur.sigma_b:
         sim = blur.apply(sim, target.voxel_size)
     resid = np.subtract(sim, target.data, out=sim)
     if blur.sigma_b:
         resid = blur.apply(resid, target.voxel_size)
-    return 2.0 * _kernels.splat_grad(coords, amps, resid, target.origin,
+    return 2.0 * _kernels.splat_grad(stack, amps, resid, target.origin,
                                      target.voxel_size, sigma)

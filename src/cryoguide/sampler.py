@@ -7,8 +7,9 @@ The guided run has four stages: warm-up (no guidance), global (point-cloud
 transport gradient), local (voxel density gradient), relax (no guidance).
 
 Samples are drawn as a lockstep batch: one (B, 3n) state, one score
-evaluation per step for the whole batch and one stacked cross-term solve
-per global step.  Every sample keeps its own random stream, frame, stats
+evaluation per step for the whole batch, one stacked cross-term and one
+stacked self-term solve per global step and one stacked density gradient
+per local step.  Every sample keeps its own random stream, frame, stats
 and failure, so its bytes are those it has when drawn alone.
 """
 
@@ -405,11 +406,12 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
     At entry to the global stage each denoised estimate is superposed onto
     the docked reference (when one is provided); gradients are then
     evaluated in the map frame and rotated back into the sampling frame.
-    The global stage solves the batch's cross terms as one stack; the frame,
-    the self term and the local stage are per sample.  A sample whose
-    guidance raises records the error in its stats and gets no displacement;
-    when the stacked solve raises, each cloud is solved alone, so only the
-    samples that raise alone fail.
+    Each global step solves the batch's cross terms as one stack and its
+    self terms as another, and each local step takes the batch's density
+    gradients as one stack; the frame and the displacement are per sample.
+    A sample whose guidance raises records the error in its stats and gets
+    no displacement; when a stacked call raises, each sample is taken
+    alone, so only the samples that raise alone fail.
     """
     t_w, t_g, t_l = gsched.t_warm, gsched.t_global, gsched.t_local
 
@@ -437,6 +439,20 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
                 st.frame, _ = kabsch(pts[r], ctx.reference)
             return st.frame.apply(pts[r]) if st.frame is not None else pts[r]
 
+        def stacked(grads_of, items):
+            """grads_of(rows) for the rows whose item is not None, as one
+            call; when it raises, each row alone, so only the rows that
+            raise alone fail."""
+            rows = [r for r, item in enumerate(items) if item is not None]
+            grads = [None] * len(live)
+            try:
+                if rows:
+                    for r, grad in zip(rows, grads_of(rows)):
+                        grads[r] = grad
+            except Exception:
+                grads = each(lambda r, st: grads_of([r])[0])
+            return grads
+
         world = each(to_map)
         if i < t_w + t_g:
             lam = lambda_global(i - t_w, gsched)
@@ -445,8 +461,9 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
             clouds = each(lambda r, st: PointCloud(world[r]))
 
             def global_grads(rows):
-                """The gradients of these rows' clouds, their cross terms
-                solved as one stack; counted once every one is solved."""
+                """The gradients of these rows' clouds, their cross and self
+                terms solved as two stacks; counted once every one is
+                solved."""
                 plans = []
                 grads = divergence_grad([clouds[r] for r in rows], ctx.target_cloud,
                                         ctx.sinkhorn, on_plans=lambda *p: plans.append(p))
@@ -454,26 +471,21 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
                     live[r].record_plans(*p)
                 return grads
 
-            rows = [r for r, cloud in enumerate(clouds) if cloud is not None]
-            grads = [None] * len(live)
-            try:
-                if rows:
-                    for r, grad in zip(rows, global_grads(rows)):
-                        grads[r] = grad
-            except Exception:   # solve alone: only the clouds that raise fail
-                grads = each(lambda r, st: global_grads([r])[0])
+            grads = stacked(global_grads, clouds)
         else:
             lam = gsched.lambda_local
             if lam == 0.0:
                 return None
 
-            def local_grad(r, st):
-                grad = density_loss_grad_coords(world[r], amps, ctx.target_map,
-                                                ctx.resolution, ctx.blur)
-                st.local_evals += 1
-                return grad
+            def local_grads(rows):
+                """The density gradients of these rows as one stack."""
+                grads = density_loss_grad_coords(np.array([world[r] for r in rows]), amps,
+                                                 ctx.target_map, ctx.resolution, ctx.blur)
+                for r in rows:
+                    live[r].local_evals += 1
+                return grads
 
-            grads = each(local_grad)
+            grads = stacked(local_grads, world)
         delta = np.zeros_like(x_hat)
 
         def displace(r, st):

@@ -348,16 +348,18 @@ class TestGuide:
         assert not list(outdir.rglob("*.pdb"))
 
     def test_unexpected_error_fails_one_sample(self, workdir, tmp_path, monkeypatch):
-        # a replicate's samples share one batch; each local step evaluates
-        # them in order, so the second call is rep 0's sample 1
+        # a replicate's samples share one batch, and each local step takes
+        # them as one stack, so the first call's second row is rep 0's
+        # sample 1; a stack holding that row raises, and so does the row
+        # when it is taken alone
         real = sampler.density_loss_grad_coords
         calls = []
 
-        def fail_rep0_sample1(*args):
-            calls.append(args)
-            if len(calls) == 2:
+        def fail_rep0_sample1(coords, *args):
+            calls.append(coords)
+            if any(np.array_equal(row, calls[0][1]) for row in coords):
                 raise RuntimeError("stub failure")
-            return real(*args)
+            return real(coords, *args)
 
         monkeypatch.setattr(sampler, "density_loss_grad_coords", fail_rep0_sample1)
         assert main(["guide", "--config", str(base_config(workdir, tmp_path))]) == 0

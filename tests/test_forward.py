@@ -1,10 +1,12 @@
 """Forward-model tests: splatting, blur operator, loss, and analytic gradient."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cryoguide
-from cryoguide import _kernels
+from cryoguide import _kernels, forward
 from cryoguide.forward import (SIGMA_PER_RESOLUTION, BlurOperator, atom_sigma,
                                density_loss, density_loss_grad,
                                density_loss_grad_coords, grid_for_model,
@@ -113,6 +115,16 @@ class TestAtomSigma:
             with pytest.raises(ValueError, match="resolution"):
                 atom_sigma(bad)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_rejected(self, bad):
+        # an infinite width once splatted every atom's full amplitude onto
+        # every voxel: a flat map
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            atom_sigma(bad)
+        model = carbon_chain(np.array([[1.0, 2.0, 3.0], [2.0, 2.5, 3.0]]))
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            simulate_map(model, grid_for_model(model, 1.0, pad=3.0), bad)
+
 
 class TestSplat:
     def test_matches_dense_oracle(self):
@@ -171,6 +183,34 @@ class TestSplat:
                 _kernels.splat(coords, np.ones(5), field.shape, origin, voxel, sigma)
             with pytest.raises(ValueError, match=f"{what} must be positive"):
                 _kernels.splat_grad(coords, np.ones(5), field, origin, voxel, sigma)
+
+    @pytest.mark.parametrize("origin, voxel, sigma, message", [
+        (np.zeros(3), float("inf"), 0.5, "voxel must be positive and finite, got inf"),
+        (np.zeros(3), 1.0, float("inf"), "sigma must be positive and finite, got inf"),
+        (np.array([0.0, np.nan, 0.0]), 1.0, 0.5, r"origin must be finite, got \[ 0. nan  0.\]"),
+    ], ids=["voxel", "sigma", "origin"])
+    def test_non_finite_geometry_rejected(self, origin, voxel, sigma, message):
+        # each once gave a map of zeros, of NaN or of every atom's full
+        # amplitude instead of an error
+        coords = np.array([[2.0, 2.0, 2.0], [3.0, 2.5, 2.0]])
+        field = np.ones((6, 6, 6))
+        with pytest.raises(ValueError, match=message):
+            _kernels.splat(coords, np.ones(2), field.shape, origin, voxel, sigma)
+        with pytest.raises(ValueError, match=message):
+            _kernels.splat_grad(coords, np.ones(2), field, origin, voxel, sigma)
+        with pytest.raises(ValueError, match=message):
+            _kernels.splat_grad(coords[None], np.ones(2), field[None], origin, voxel, sigma)
+
+    def test_field_must_hold_one_grid_per_row(self):
+        coords, amps, origin = np.full((2, 5, 3), 2.0), np.ones(5), np.zeros(3)
+        for field in (np.ones((6, 6, 6)), np.ones((3, 6, 6, 6)), np.ones((1, 2, 6, 6, 6))):
+            with pytest.raises(ValueError, match=r"field must hold one \(w, h, d\) grid "
+                                                 r"per row of coords \(2, 5, 3\)"):
+                _kernels.splat_grad(coords, amps, field, origin, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"per row of coords \(5, 3\)"):
+            _kernels.splat_grad(coords[0], amps, np.ones((1, 6, 6, 6)), origin, 1.0, 0.5)
+        with pytest.raises(ValueError, match=r"coords must have shape \(n, 3\) or \(B, n, 3\)"):
+            _kernels.splat(coords[None], amps, (6, 6, 6), origin, 1.0, 0.5)
 
     def test_splat_grad_matches_dense_oracle(self):
         rng = np.random.default_rng(12)
@@ -400,3 +440,87 @@ class TestKernelBackends:
                         assert np.array_equal(
                             mask_near_model(grid, model, radius).data,
                             loop_mask_near_model(grid, model, radius))
+
+
+class TestStackedKernels:
+    """A (B, n, 3) stack through splat, splat_grad and the loss gradient:
+    each row bitwise its own (n, 3) call and the per-atom loops above."""
+
+    def case(self, rng, B, voxel, res):
+        shape, origin = (17, 14, 12), np.array([-2.0, 1.5, 0.25])
+        hi = origin + (np.array(shape) - 1) * voxel
+        # 11 atoms a row within 6 A of the box, many of them partly outside
+        # it, and one wholly outside, past a corner
+        coords = rng.uniform(origin - 6.0, hi + 6.0, (B, 12, 3))
+        coords[:, 5] = hi + 40.0
+        return (coords, rng.uniform(-2.0, 9.0, 12), shape, origin,
+                rng.normal(size=(B,) + shape), atom_sigma(res))
+
+    def test_rows_match_their_own_calls_and_the_loops(self):
+        rng = np.random.default_rng(43)
+        crossed = False
+        for B in (1, 2, 5):
+            for voxel in (0.7, 1.3):
+                for res in (2.0, 6.0):
+                    coords, amps, shape, origin, field, sigma = self.case(rng, B, voxel, res)
+                    # a stencil block that holds the atoms of two rows
+                    crossed |= any(len(set(atoms // 12)) > 1 for atoms, *_ in
+                                   _splat_py.stencils(coords, origin, voxel, shape, 4 * sigma))
+                    maps = _kernels.splat(coords, amps, shape, origin, voxel, sigma)
+                    grads = _kernels.splat_grad(coords, amps, field, origin, voxel, sigma)
+                    assert maps.shape == (B,) + shape and grads.shape == coords.shape
+                    for b in range(B):
+                        for got, alone, loop in (
+                                (maps[b],
+                                 _kernels.splat(coords[b], amps, shape, origin, voxel, sigma),
+                                 loop_splat(coords[b], amps, shape, origin, voxel, sigma)),
+                                (grads[b],
+                                 _kernels.splat_grad(coords[b], amps, field[b], origin,
+                                                     voxel, sigma),
+                                 loop_splat_grad(coords[b], amps, field[b], origin,
+                                                 voxel, sigma))):
+                            assert got.tobytes() == alone.tobytes() == loop.tobytes()
+        assert crossed
+
+    def test_empty_rows(self):
+        maps = _kernels.splat(np.zeros((3, 0, 3)), np.zeros(0), (4, 5, 6), np.zeros(3), 1.0, 0.5)
+        assert maps.shape == (3, 4, 5, 6) and not maps.any()
+        grads = _kernels.splat_grad(np.zeros((3, 0, 3)), np.zeros(0), np.ones((3, 4, 5, 6)),
+                                    np.zeros(3), 1.0, 0.5)
+        assert grads.shape == (3, 0, 3)
+
+    @pytest.mark.parametrize("blur", [BlurOperator(), BlurOperator(0.9)], ids=["sharp", "blur"])
+    @pytest.mark.parametrize("rows", [None, 2], ids=["one-chunk", "chunks-of-2"])
+    def test_loss_gradient_rows_match_their_own_calls(self, monkeypatch, blur, rows):
+        rng = np.random.default_rng(47)
+        truth = carbon_chain(rng.uniform(3.0, 9.0, (5, 3)))
+        target = simulate_map(truth, grid_for_model(truth, voxel_size=1.0, pad=4.0), 2.0, blur)
+        coords = rng.uniform(2.0, 10.0, (5, 7, 3))
+        amps = rng.uniform(1.0, 9.0, 7)
+        alone = [density_loss_grad_coords(c, amps, target, 2.0, blur) for c in coords]
+        if rows is not None:   # chunks of `rows` maps, the last one short
+            monkeypatch.setattr(forward, "_STACK_BYTES", rows * 8 * target.data.size)
+        for B in (1, 5):
+            got = density_loss_grad_coords(coords[:B], amps, target, 2.0, blur)
+            assert got.shape == (B, 7, 3)
+            assert [g.tobytes() for g in got] == [a.tobytes() for a in alone[:B]]
+
+    # the peak in caps: one chunk's maps, and with a blur also the two
+    # that a blur pass holds at once (unchunked: 3.2 and 9.5 caps)
+    @pytest.mark.parametrize("blur, caps", [(BlurOperator(), 1.25), (BlurOperator(0.9), 3.25)],
+                             ids=["sharp", "blur"])
+    def test_chunked_maps_stay_under_the_cap(self, blur, caps):
+        """At 60 rows of a 48^3 map the stack's maps would take 53 MB, more
+        than three times the cap; in chunks, the peak stays near one cap a map
+        held at once."""
+        target = DensityMap(np.ones((48, 48, 48)), 1.0, np.zeros(3))
+        rng = np.random.default_rng(53)
+        coords = rng.uniform(10.0, 38.0, (60, 4, 3))
+        assert 60 * 8 * target.data.size > 3 * forward._STACK_BYTES
+        tracemalloc.start()
+        try:
+            density_loss_grad_coords(coords, np.full(4, 6.0), target, 2.0, blur)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= caps * forward._STACK_BYTES

@@ -710,12 +710,13 @@ class TestBatchFailures:
             # one call in nine
             return int(abs(value) * 1e6) % 9 == 0
 
-        if where == "local":
+        if where == "local":   # the stacked gradient raises if any of its rows trips
             real_local = sampler_module.density_loss_grad_coords
 
             def stub(coords, *args):
-                if trips(coords[0, 0]):
-                    raise RuntimeError(f"stub failure at {coords[0, 0]!r}")
+                for v in coords[:, 0, 0]:
+                    if trips(v):
+                        raise RuntimeError(f"stub failure at {v!r}")
                 return real_local(coords, *args)
 
             monkeypatch.setattr(sampler_module, "density_loss_grad_coords", stub)
@@ -728,15 +729,16 @@ class TestBatchFailures:
                 return real_solve(X, a, Y, b, cfg)
 
             monkeypatch.setattr(transport_module, "_solve", stub)
-        elif where == "self":
-            real_ot = transport_module.ot_epsilon
+        elif where == "self":   # the stacked self solve, likewise
+            real_self = transport_module._solve_self
 
-            def stub(X, Y, cfg):
-                if Y is X and trips(X.points[0, 0]):
-                    raise RuntimeError(f"stub failure at {X.points[0, 0]!r}")
-                return real_ot(X, Y, cfg)
+            def stub(X, a, cfg):
+                for v in X[:, 0, 0]:
+                    if trips(v):
+                        raise RuntimeError(f"stub failure at {v!r}")
+                return real_self(X, a, cfg)
 
-            monkeypatch.setattr(transport_module, "ot_epsilon", stub)
+            monkeypatch.setattr(transport_module, "_solve_self", stub)
         else:
             real_normalize = sampler_module.gradient_normalize
 

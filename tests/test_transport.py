@@ -121,9 +121,12 @@ class TestCost:
             n, m = (int(v) for v in rng.integers(1, 40, 2))
             scale = 10.0 ** rng.uniform(-2, 3)
             Y = rng.normal(0, scale, (m, 3))
-            for X in (rng.normal(0, scale, (n, 3)),
-                      rng.normal(0, scale, (int(rng.integers(1, 8)), n, 3))):
+            B = int(rng.integers(1, 8))
+            for X in (rng.normal(0, scale, (n, 3)), rng.normal(0, scale, (B, n, 3))):
                 assert transport._cost(X, Y).tobytes() == broadcast_cost(X, Y).tobytes()
+            # a stack against a stack, row by row, as the self terms are
+            X = rng.normal(0, scale, (B, n, 3))
+            assert transport._cost(X, X).tobytes() == broadcast_cost(X, X).tobytes()
 
     def test_plan_fields(self):
         X, Y = clouds(4, n=3, m=5)
@@ -397,7 +400,7 @@ class TestCrossSolverBookkeeping:
 
 def broadcast_cost(X, Y):
     """transport._cost as it was written, through an (..., N, M, 3) temporary."""
-    return 0.5 * np.sum((X[..., :, None, :] - Y) ** 2, axis=-1)
+    return 0.5 * np.sum((X[..., :, None, :] - Y[..., None, :, :]) ** 2, axis=-1)
 
 
 def single_schur_direction(d_big, d_small, K, r_big, r_small):
@@ -607,6 +610,87 @@ class TestStackedCrossSolve:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * X.shape[0] * X.shape[1] * len(Y) * 8
+
+
+def single_self_solve(P, cfg):
+    """OT(P, P) for one cloud P (n, 3) at uniform masses, one row at a time:
+    the loop the stacked self solve must reproduce bitwise."""
+    eps = cfg.epsilon
+    la = np.log(np.full(len(P), 1.0 / len(P)))
+    C = 0.5 * np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
+    damp = 1.0 if cfg.balanced else cfg.reach ** 2 / (cfg.reach ** 2 + eps)
+    fk = la[None, :] - C / eps
+    f = np.zeros(len(P))
+    for it in range(1, cfg.max_iters + 1):
+        M = fk + f[None, :] / eps
+        top = np.maximum.reduce(M, axis=1, keepdims=True)
+        lse = top[:, 0] + np.log(np.add.reduce(np.exp(M - top), axis=1))
+        f_new = 0.5 * (f - damp * eps * lse)
+        err = np.max(np.abs(f_new - f))
+        f = f_new
+        if err < cfg.tol:
+            break
+    gamma = np.exp(la[:, None] + la[None, :] + (f[:, None] + f[None, :] - C) / eps)
+    return f, gamma, bool(err < cfg.tol), it
+
+
+class TestStackedSelfSolve:
+    """The stacked self solve against each cloud solved alone."""
+
+    def assert_rows_match_alone(self, X, cfg):
+        a = np.full(X.shape[:2], 1.0 / X.shape[1])
+        got = transport._solve_self(X, a, cfg)
+        assert got[0].shape == X.shape[:2] and got[1].shape == (len(X),) + X.shape[1:2] * 2
+        for k, P in enumerate(X):
+            cloud = PointCloud(P)
+            _, plan = ot_epsilon(cloud, cloud, cfg)
+            for want in ((plan.f, plan.gamma, plan.converged, plan.iterations),
+                         single_self_solve(P, cfg)):
+                assert got[0][k].tobytes() == want[0].tobytes(), k
+                assert got[1][k].tobytes() == want[1].tobytes(), k
+                assert (bool(got[2][k]), int(got[3][k])) == (want[2], want[3]), k
+        return got
+
+    @pytest.mark.parametrize("reach", REACHES)
+    def test_rows_match_solving_alone(self, reach):
+        # jittered copies of the demo chain at spreads from 0.1 to 4 A, whose
+        # rows stop at different iterations within one stack
+        rng = np.random.default_rng(17)
+        iterations = set()
+        for seed in range(8):
+            spread = rng.uniform(0.1, 4.0, (1 + seed % 5, 1, 1))
+            X = chain_cloud().points + rng.normal(0, 1, (len(spread), 30, 3)) * spread
+            got = self.assert_rows_match_alone(X, SinkhornConfig(epsilon=1.0, reach=reach))
+            assert got[2].all()
+            if len(X) > 1:
+                iterations |= {tuple(got[3])}
+        assert any(len(set(its)) > 1 for its in iterations)
+
+    def test_budget_exhaustion_flagged_per_row(self):
+        # a cloud of coincident points has a zero cost matrix, so its first
+        # update leaves f at zero and it converges at iteration 1; the chain
+        # does not
+        X = np.stack([np.zeros((30, 3)), chain_cloud().points, np.ones((30, 3))])
+        cfg = SinkhornConfig(epsilon=1.0, reach=10.0, max_iters=1)
+        got = self.assert_rows_match_alone(X, cfg)
+        assert got[2].tolist() == [True, False, True]
+        assert got[3].tolist() == [1, 1, 1]
+
+    def test_divergence_grad_passes_each_clouds_plans_in_order(self):
+        rng = np.random.default_rng(23)
+        Xs = [PointCloud(chain_cloud().points + rng.normal(0, s, (30, 3)))
+              for s in (0.1, 2.0, 0.5, 4.0)]
+        Y = target_cloud()
+        cfg = SinkhornConfig(epsilon=1.0, reach=40.0)
+        plans = []
+        divergence_grad(Xs, Y, cfg, on_plans=lambda *p: plans.append(p))
+        assert len(plans) == len(Xs)
+        assert len({pxx.iterations for _, pxx in plans}) > 1
+        for X, (cross, pxx) in zip(Xs, plans):
+            for got, want in ((cross, ot_epsilon(X, Y, cfg)[1]), (pxx, ot_epsilon(X, X, cfg)[1])):
+                for name in ("f", "g", "gamma"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert (got.converged, got.iterations) == (want.converged, want.iterations)
 
 
 class TestDivergence:
