@@ -5,6 +5,8 @@ in `_splat_py`: a non-finite coordinate would otherwise drop its atom silently,
 and a non-finite grid or width would give a map of zeros or of NaN.  Both take
 one model's (n, 3) coordinates or a stack (B, n, 3) of models that share the
 amplitudes (n,); each row of a stack gets the bits of its own call.
+`cryoguide.forward` checks its inputs with `_checked` before it calls
+`_splat_py.residual_grad`, the unblurred loss gradient, directly.
 """
 
 import math

@@ -10,9 +10,18 @@ The contract (inputs are checked by `cryoguide._kernels` before they get here):
       Returns per-atom sums  sum_v field[v] * amp * exp(-d^2/(2 sigma^2)) * (v_world - p) / sigma^2,
       i.e. the inner product of `field` with the coordinate derivative of the splat.
 
-Both also take a stack: coords (B, n, 3), the same amps (n,) for every row,
-and, for splat_grad, a field (B, w, h, d); they then return (B, w, h, d) maps
-and (B, n, 3) gradients.  An (n, 3) call is the stack of one.
+  residual_grad(coords, amps, target, origin, voxel, sigma) -> (n, 3) float64 array
+      Returns splat_grad(coords, amps, splat(coords, amps, ...) - target, ...)
+      for a target map (w, h, d), with the bits of that formula, and makes no
+      map: it walks the stencils once, sums the splat at the voxels they
+      touch alone, and reads the target there.  It is not checked by
+      `cryoguide._kernels`; `forward.density_loss_grad_coords` checks its
+      inputs and calls it for the unblurred loss gradient.
+
+All three also take a stack: coords (B, n, 3), the same amps (n,) for every
+row, and, for splat_grad, a field (B, w, h, d), while residual_grad takes one
+target for every row; they then return (B, w, h, d) maps and (B, n, 3)
+gradients.  An (n, 3) call is the stack of one.
 
 Each atom touches the box of voxels within 4 sigma of it along every axis,
 clipped to the grid.  `stencils` builds those boxes for a block of atoms at
@@ -25,8 +34,10 @@ The floating-point result is the same as visiting the atoms one by one in input
 order, and each row of a stack is bitwise its own call: offsets are
 `idx * voxel + origin - p` and `d2 = (dx^2 + dy^2) + dz^2`; `splat` scatters
 with the unbuffered, in-order `np.add.at`, so each voxel sums its own row's
-atoms in input order; `splat_grad` sums each atom's box as one C-ordered run
-with `np.sum`'s pairwise order.
+atoms in input order, and `residual_grad` sums them in the same order with
+`np.bincount` into one slot per touched voxel; `splat_grad` and
+`residual_grad` share `_atom_sums`, which sums each atom's box as one
+C-ordered run with `np.sum`'s pairwise order.
 """
 
 import numpy as np
@@ -106,13 +117,59 @@ def splat_grad(coords, amps, field, origin, voxel, sigma):
     out = grad.reshape(-1, 3)
     for atoms, box, flat, ax, d2 in stencils(coords, origin, voxel, field.shape[-3:],
                                              4.0 * sigma):
-        fw = values[flat] * _weights(amps[atoms % len(amps)], d2, sigma) * invs2
-        sizes = np.count_nonzero(box, axis=(1, 2, 3))
-        starts = np.cumsum(sizes) - sizes
-        terms = [(fw * a)[box] for a in ax]
-        for size in np.unique(sizes):
-            rows = np.flatnonzero(sizes == size)
-            run = starts[rows, None] + np.arange(size)
-            for i in range(3):
-                out[atoms[rows], i] = terms[i][run].sum(axis=1)
+        w = _weights(amps[atoms % len(amps)], d2, sigma)[box]
+        _atom_sums(out, atoms, box, values[flat[box]] * w * invs2, ax)
     return grad
+
+
+def residual_grad(coords, amps, target, origin, voxel, sigma):
+    coords = np.asarray(coords, dtype=np.float64)
+    grad = np.zeros(coords.shape, dtype=np.float64)
+    amps = np.asarray(amps, dtype=np.float64)
+    invs2 = 1.0 / (sigma * sigma)
+    blocks, flats = [], []
+    for atoms, box, flat, ax, d2 in stencils(coords, origin, voxel, target.shape,
+                                             4.0 * sigma):
+        blocks.append((atoms, box, ax, _weights(amps[atoms % len(amps)], d2, sigma)[box]))
+        flats.append(flat[box])
+    if not blocks:
+        return grad
+    voxels, slot = _touched(np.concatenate(flats))
+    # bincount adds in input order from zero, as splat's np.add.at does
+    resid = np.bincount(slot, weights=np.concatenate([b[3] for b in blocks]),
+                        minlength=len(voxels))
+    resid -= target.reshape(-1)[voxels % target.size]
+    out = grad.reshape(-1, 3)
+    s = 0
+    for atoms, box, ax, w in blocks:
+        _atom_sums(out, atoms, box, resid[slot[s:s + len(w)]] * w * invs2, ax)
+        s += len(w)
+    return grad
+
+
+def _touched(flat):
+    """The distinct voxels of flat in increasing order, and each entry's
+    index among them: np.unique(flat, return_inverse=True) by a stable
+    sort, which is fast where each atom's entries come in increasing order."""
+    order = flat.argsort(kind="stable")
+    flat = flat[order]
+    first = np.empty(len(flat), dtype=bool)
+    first[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    slot = np.empty(len(flat), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return flat[first], slot
+
+
+def _atom_sums(out, atoms, box, fw, ax):
+    """out[atoms] = each atom's sum over its box of fw * (v_world - p): fw
+    holds the block's box entries in C order, so each atom's box is one
+    contiguous run, summed with np.sum's pairwise order."""
+    sizes = np.count_nonzero(box, axis=(1, 2, 3))
+    starts = np.cumsum(sizes) - sizes
+    terms = [fw * np.broadcast_to(a, box.shape)[box] for a in ax]
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        run = starts[rows, None] + np.arange(size)
+        for i in range(3):
+            out[atoms[rows], i] = terms[i][run].sum(axis=1)

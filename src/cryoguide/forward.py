@@ -13,13 +13,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
+from ._kernels import _splat_py
 from .structure import ATOMIC_NUMBERS, AtomicModel
 from .volume import DensityMap
 
 SIGMA_PER_RESOLUTION = 0.225  # splat width sigma = 0.225 * nominal resolution (A)
-# Largest (rows, w, h, d) map buffer density_loss_grad_coords holds for one
-# chunk of a stack: a 200^3 map is 64 MB a row, 1.6 GB for 25 rows at once.
+# Largest working set density_loss_grad_coords holds for one chunk of a
+# stack: its (rows, w, h, d) maps, where a 200^3 map is 64 MB a row and
+# 1.6 GB for 25 rows at once, or, taken at the stencils alone, its atoms'
+# stencil window entries, which peak at under _ENTRY_BYTES each.
 _STACK_BYTES = 1 << 24
+_ENTRY_BYTES = 64
 
 
 def atom_sigma(resolution: float) -> float:
@@ -116,17 +120,32 @@ def density_loss_grad_coords(coords: np.ndarray, amps: np.ndarray, target: Densi
                              resolution: float, blur: BlurOperator = BlurOperator()
                              ) -> np.ndarray:
     """density_loss_grad on raw coordinates (n, 3), or on a stack (B, n, 3)
-    of models that share the amplitudes (n,) (sampler hot path).
+    of models that share the amplitudes (n,) (sampler hot path); an empty
+    stack gives a (0, n, 3) gradient.
 
-    A stack is taken a chunk of rows at a time, each chunk's maps within
+    Without a blur the residual is needed only at the voxels that the
+    atoms' stencils touch.  Where a row's stencil entries take fewer bytes
+    than a map, the gradient is taken at those voxels alone and no map is
+    made; otherwise each row's map is made.  A stack is taken a chunk of
+    rows at a time, each chunk's stencil entries or maps within
     _STACK_BYTES, and each row's gradient has the bits of its own call.
     """
     sigma = atom_sigma(resolution)
-    coords = np.asarray(coords, dtype=np.float64)
-    stack = coords[None] if coords.ndim == 2 else coords   # the kernels check the shape
-    rows = max(1, _STACK_BYTES // (8 * target.data.size))
-    grad = np.concatenate([_loss_grad_rows(stack[s:s + rows], amps, target, sigma, blur)
-                           for s in range(0, len(stack), rows)])
+    coords, amps = _kernels._checked(coords, amps, target.origin, target.voxel_size, sigma)
+    stack = coords[None] if coords.ndim == 2 else coords
+    side = int(8.0 * sigma / target.voxel_size) + 1    # the widest stencil window
+    stencil_bytes = _ENTRY_BYTES * stack.shape[1] * side ** 3
+    map_bytes = 8 * target.data.size
+    sparse = not blur.sigma_b and stencil_bytes < map_bytes
+    rows = max(1, _STACK_BYTES // max(1, stencil_bytes if sparse else map_bytes))
+    grad = np.empty(stack.shape)
+    for s in range(0, len(stack), rows):
+        chunk = stack[s:s + rows]
+        if sparse:
+            grad[s:s + rows] = 2.0 * _splat_py.residual_grad(
+                chunk, amps, target.data, target.origin, target.voxel_size, sigma)
+        else:
+            grad[s:s + rows] = _loss_grad_rows(chunk, amps, target, sigma, blur)
     return grad[0] if coords.ndim == 2 else grad
 
 

@@ -132,6 +132,14 @@ _MAX_HALVINGS = 30
 _RIDGE = 1e-12
 _MAX_MOVE = 100.0
 
+# Largest working set of one chunk of clouds in divergence_grad: its cross
+# solve peaks at about 8.2 (rows, N, M) stacks, and its self solve at about
+# 5 (rows, N, N) stacks while the chunk's cross plans are held; a row is
+# counted as _CROSS_STACKS and _SELF_STACKS of each.
+_STACK_BYTES = 1 << 24
+_CROSS_STACKS = 9
+_SELF_STACKS = 6
+
 
 def _schur_direction(d_big, d_small, K, r_big, r_small):
     """Solve [[diag(d_big), K], [K^T, diag(d_small)]] (u, v) = (r_big, r_small)
@@ -399,37 +407,43 @@ def divergence_grad(X: Iterable[PointCloud], Y: PointCloud,
     sum_j gamma_ij (x_i - y_j) and the (symmetric) self term twice that
     with Y = X.  Exact at convergence.
 
-    The cross terms against Y are solved as one stack and the self terms as
-    another, each row bitwise its own solve.  `on_plans`, when given, is
-    called with each cloud's cross-term and self-term TransportPlans in
-    order, so a caller can keep their iteration counts and convergence
-    flags.
+    The cross terms against Y are solved as stacks, and the self terms as
+    stacks of the same clouds, a chunk of clouds at a time within
+    _STACK_BYTES; each row is bitwise its own solve.  `on_plans`, when
+    given, is called with each cloud's cross-term and self-term
+    TransportPlans in order, so a caller can keep their iteration counts
+    and convergence flags.
     """
     X = list(X)
     sizes = sorted({len(c) for c in X})
     if len(sizes) != 1:
         raise ValueError("divergence_grad needs one or more clouds of one size, "
                          f"got {len(X)} clouds of sizes {sizes}")
-    stack = np.stack([c.points for c in X])
-    A = np.stack([_masses(c) for c in X])
-    Q = Y.points
-    F, G, gammas, converged, iterations = _solve(stack, A, Q, _masses(Y), cfg)
-    if len(X) == 1:
-        # one cloud's self term goes through ot_epsilon, a stack of one,
-        # where a benchmark trace counts the self-term solves
-        self_plans = [ot_epsilon(X[0], X[0], cfg)[1]]
-    else:
-        self_plans = [TransportPlan(gamma=gamma, f=f, g=f, converged=bool(conv),
-                                    iterations=int(its))
-                      for f, gamma, conv, its in zip(*_solve_self(stack, A, cfg))]
+    Q, b = Y.points, _masses(Y)
+    n, m = sizes[0], len(Q)
+    rows = max(1, _STACK_BYTES // (8 * n * (_CROSS_STACKS * m + _SELF_STACKS * n)))
     grads = []
-    for k, (c, pxx) in enumerate(zip(X, self_plans)):
-        gamma = gammas[k]
-        if on_plans is not None:
-            on_plans(TransportPlan(gamma=gamma, f=F[k], g=G[k], converged=bool(converged[k]),
-                                   iterations=int(iterations[k])), pxx)
-        P = c.points
-        gx = gamma.sum(axis=1)[:, None] * P - gamma @ Q
-        gxx = 2.0 * (pxx.gamma.sum(axis=1)[:, None] * P - pxx.gamma @ P)
-        grads.append(gx - 0.5 * gxx)
+    for s in range(0, len(X), rows):
+        chunk = X[s:s + rows]
+        stack = np.stack([c.points for c in chunk])
+        A = np.stack([_masses(c) for c in chunk])
+        F, G, gammas, converged, iterations = _solve(stack, A, Q, b, cfg)
+        if len(X) == 1:
+            # one cloud's self term goes through ot_epsilon, a stack of one,
+            # where a benchmark trace counts the self-term solves
+            self_plans = [ot_epsilon(X[0], X[0], cfg)[1]]
+        else:
+            self_plans = [TransportPlan(gamma=gamma, f=f, g=f, converged=bool(conv),
+                                        iterations=int(its))
+                          for f, gamma, conv, its in zip(*_solve_self(stack, A, cfg))]
+        for k, (c, pxx) in enumerate(zip(chunk, self_plans)):
+            gamma = gammas[k]
+            if on_plans is not None:
+                on_plans(TransportPlan(gamma=gamma, f=F[k], g=G[k],
+                                       converged=bool(converged[k]),
+                                       iterations=int(iterations[k])), pxx)
+            P = c.points
+            gx = gamma.sum(axis=1)[:, None] * P - gamma @ Q
+            gxx = 2.0 * (pxx.gamma.sum(axis=1)[:, None] * P - pxx.gamma @ P)
+            grads.append(gx - 0.5 * gxx)
     return grads

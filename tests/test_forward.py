@@ -524,3 +524,115 @@ class TestStackedKernels:
         finally:
             tracemalloc.stop()
         assert peak <= caps * forward._STACK_BYTES
+
+
+def full_map_grad(coords, amps, target, origin, voxel, sigma):
+    """The unblurred loss gradient with its maps: 2 splat_grad(splat - target)."""
+    sim = _kernels.splat(coords, amps, target.shape, origin, voxel, sigma)
+    return 2.0 * _kernels.splat_grad(coords, amps, sim - target, origin, voxel, sigma)
+
+
+class TestStencilGradient:
+    """The unblurred loss gradient taken at the stencils' voxels alone has
+    the bits of the full-map formula, and makes no map."""
+
+    def case(self, rng, B, voxel, res, shape=(17, 14, 12)):
+        origin = np.array([-2.0, 1.5, 0.25])
+        hi = origin + (np.array(shape) - 1) * voxel
+        # 12 atoms a row within 3 A of the box, some of them partly outside
+        # it, one wholly outside, past a corner, and one of amplitude 0
+        coords = rng.uniform(origin - 3.0, hi + 3.0, (B, 12, 3))
+        coords[:, 5] = hi + 40.0
+        amps = rng.uniform(-2.0, 9.0, 12)
+        amps[7] = 0.0
+        return coords, amps, origin, rng.normal(size=shape), atom_sigma(res)
+
+    def test_kernel_matches_the_full_map_formula(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        # a few hundred window entries a block, so a row spans several blocks
+        monkeypatch.setattr(_splat_py, "_CHUNK_ENTRIES", 200)
+        blocks = set()
+        for B in (1, 2, 5):
+            for voxel in (0.7, 1.3):
+                for res in (2.0, 6.0):
+                    coords, amps, origin, target, sigma = self.case(rng, B, voxel, res)
+                    blocks.add(len(list(_splat_py.stencils(coords, origin, voxel,
+                                                           target.shape, 4 * sigma))) > 1)
+                    got = 2.0 * _splat_py.residual_grad(coords, amps, target, origin,
+                                                        voxel, sigma)
+                    want = full_map_grad(coords, amps, target, origin, voxel, sigma)
+                    assert got.tobytes() == want.tobytes()
+                    for b in range(B):
+                        alone = 2.0 * _splat_py.residual_grad(coords[b], amps, target,
+                                                              origin, voxel, sigma)
+                        assert got[b].tobytes() == alone.tobytes()
+        assert blocks == {True}
+
+    def test_no_atom_on_the_grid(self):
+        coords = np.full((2, 3, 3), 500.0)
+        got = _splat_py.residual_grad(coords, np.ones(3), np.ones((4, 5, 6)), np.zeros(3),
+                                      1.0, 0.5)
+        assert got.shape == (2, 3, 3) and not got.any()
+
+    @pytest.mark.parametrize("res", [2.0, 6.0])
+    @pytest.mark.parametrize("rows", [None, 1, 2], ids=["one-chunk", "chunks-of-1",
+                                                        "chunks-of-2"])
+    def test_loss_gradient_matches_the_full_map_formula(self, monkeypatch, res, rows):
+        rng = np.random.default_rng(61)
+        for B in (1, 2, 5):
+            for voxel in (0.7, 1.3):
+                coords, amps, origin, data, sigma = self.case(rng, B, voxel, res,
+                                                              shape=(40, 36, 30))
+                target = DensityMap(data, voxel, origin)
+                want = full_map_grad(coords, amps, data, origin, voxel, sigma)
+                side = int(8.0 * sigma / voxel) + 1
+                row_bytes = forward._ENTRY_BYTES * 12 * side ** 3
+                # at 2 A the stencils take fewer bytes than a map and are
+                # used alone; at 6 A the maps are made
+                assert (row_bytes < 8 * data.size) == (res == 2.0)
+                if rows is not None:
+                    monkeypatch.setattr(forward, "_STACK_BYTES",
+                                        rows * min(row_bytes, 8 * data.size))
+                got = density_loss_grad_coords(coords, amps, target, res)
+                assert got.tobytes() == want.tobytes()
+
+    def test_peak_stays_far_below_one_map(self):
+        """8 rows of 4 atoms against a 96^3 map (6.75 MiB a map): the
+        full-map formula peaks at two maps, the stencils at a few
+        thousand entries."""
+        rng = np.random.default_rng(71)
+        target = DensityMap(rng.normal(size=(96, 96, 96)), 1.0, np.zeros(3))
+        coords = rng.uniform(10.0, 86.0, (8, 4, 3))
+        density_loss_grad_coords(coords[:1], np.full(4, 6.0), target, 2.0)  # first-call setup
+        tracemalloc.start()
+        try:
+            density_loss_grad_coords(coords, np.full(4, 6.0), target, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * target.data.nbytes
+
+    def test_chunked_stencils_stay_under_the_cap(self):
+        """50 rows of 300 atoms have 960,000 stencil window entries, more
+        than three caps at _ENTRY_BYTES an entry; in chunks, the peak stays
+        within one cap."""
+        rng = np.random.default_rng(73)
+        target = DensityMap(rng.normal(size=(64, 64, 64)), 1.0, np.zeros(3))
+        coords = rng.uniform(4.0, 60.0, (50, 300, 3))
+        entries = coords.shape[0] * coords.shape[1] * 4 ** 3   # 4^3 windows at 2 A
+        assert forward._ENTRY_BYTES * entries > 3 * forward._STACK_BYTES
+        density_loss_grad_coords(coords[:1], np.full(300, 6.0), target, 2.0)
+        tracemalloc.start()
+        try:
+            density_loss_grad_coords(coords, np.full(300, 6.0), target, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= forward._STACK_BYTES
+
+    @pytest.mark.parametrize("blur", [BlurOperator(), BlurOperator(0.9)], ids=["sharp", "blur"])
+    def test_empty_stack(self, blur):
+        target = DensityMap(np.ones((8, 8, 8)), 1.0, np.zeros(3))
+        got = density_loss_grad_coords(np.zeros((0, 4, 3)), np.full(4, 6.0), target, 2.0,
+                                       blur)
+        assert got.shape == (0, 4, 3)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from cryoguide import sampler as sampler_module
+from cryoguide import _kernels, sampler as sampler_module
+from cryoguide._kernels import _splat_py
 from cryoguide.forward import grid_for_model, simulate_map
 from cryoguide.pointcloud import extract_pointcloud
 from cryoguide.priors import chain_template, two_mode_chain_prior
@@ -634,6 +635,28 @@ class TestLockstepBatch:
             for seeds in batches_holding(j):
                 got = sample_with_guide(prior, DEMO_SCHED, seeds, guide)
                 assert got[seeds.index(SEEDS[j])].tobytes() == alone.tobytes()
+
+    def test_stencil_gradient_is_the_full_map_formula(self, monkeypatch):
+        """Swapping the local stage's stencil-only gradient for the full-map
+        formula 2 splat_grad(splat - target) leaves every byte of a batch."""
+        prior, template, ctx = demo_context()
+        sched = replace(DEMO_SCHED, n_steps=32)
+        stages = GuidanceSchedule(20, 4, 4, 4)
+        seeds = list(SEEDS[:3])
+        want = sample_guided(prior, ctx, sched, stages, template, seeds)
+        calls = []
+
+        def full_map(coords, amps, target, origin, voxel, sigma):
+            calls.append(len(coords))
+            sim = _kernels.splat(coords, amps, target.shape, origin, voxel, sigma)
+            return _kernels.splat_grad(coords, amps, sim - target, origin, voxel, sigma)
+
+        monkeypatch.setattr(_splat_py, "residual_grad", full_map)
+        got = sample_guided(prior, ctx, sched, stages, template, seeds)
+        assert calls and max(calls) == 3
+        for (model, stats), (model_w, stats_w) in zip(got, want):
+            assert model.coords().tobytes() == model_w.coords().tobytes()
+            assert stats_key(stats) == stats_key(stats_w)
 
     def test_score_rows_are_scored_alone(self):
         prior, _ = two_mode_chain_prior()

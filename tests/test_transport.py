@@ -693,6 +693,50 @@ class TestStackedSelfSolve:
                 assert (got.converged, got.iterations) == (want.converged, want.iterations)
 
 
+class TestChunkedDivergence:
+    """divergence_grad takes its clouds a chunk at a time within
+    transport._STACK_BYTES, with the bytes of one stack."""
+
+    def case(self, B, n=60):
+        rng = np.random.default_rng(29)
+        Xs = [PointCloud(rng.normal(0, 4.0, (n, 3))) for _ in range(B)]
+        return Xs, PointCloud(rng.normal(0, 4.0, (20, 3))), SinkhornConfig(epsilon=1.0,
+                                                                           reach=10.0)
+
+    @staticmethod
+    def row_bytes(n, m):
+        return 8 * n * (transport._CROSS_STACKS * m + transport._SELF_STACKS * n)
+
+    def run(self, Xs, Y, cfg):
+        plans = []
+        grads = divergence_grad(Xs, Y, cfg, on_plans=lambda *p: plans.append(p))
+        return [g.tobytes() for g in grads], [
+            [(getattr(p, name).tobytes(), p.converged, p.iterations)
+             for name in ("f", "g", "gamma") for p in pair] for pair in plans]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_chunks_give_the_bytes_of_one_stack(self, monkeypatch, rows):
+        Xs, Y, cfg = self.case(5, n=12)
+        want = self.run(Xs, Y, cfg)
+        monkeypatch.setattr(transport, "_STACK_BYTES", rows * self.row_bytes(12, 20))
+        assert self.run(Xs, Y, cfg) == want
+
+    def test_peak_stays_within_the_budget(self, monkeypatch):
+        """8 clouds of 60 points in chunks of 2: the peak stays within the
+        budget, where one stack of 8 peaks at about 2.4 budgets."""
+        Xs, Y, cfg = self.case(8)
+        budget = 2 * self.row_bytes(60, 20)
+        monkeypatch.setattr(transport, "_STACK_BYTES", budget)
+        divergence_grad(Xs[:2], Y, cfg)    # first-call setup
+        tracemalloc.start()
+        try:
+            divergence_grad(Xs, Y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+
 class TestDivergence:
     def test_self_divergence_vanishes(self):
         for seed in range(5):
