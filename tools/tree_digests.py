@@ -5,7 +5,8 @@
 Writes the demo inputs (the minority-mode chain model of the README's quick
 start and the map simulated from it) to a temporary directory, runs each
 case of the matrix through `cryoguide.cli.main` into a directory of its
-own, and prints one `sha256  name` line per case.  The digest covers every
+own, and prints one `sha256  name` line per case, under a header line that
+names the NumPy and SciPy versions.  The digest covers every
 file of the case's output tree, by relative path and bytes in sorted path
 order, and the run's exit status.  Two checkouts that print the same lines
 wrote the same bytes.  Names given on the command line run only those cases.
@@ -14,6 +15,16 @@ The matrix: `simulate-map` with and without `--blur`; `guide` on the demo
 inputs at blur 0 and 0.5, churn 0 and 0.4, registration off and on, each
 2 replicates of 2 samples in 32 steps; and the matching `sample` runs, at
 churn 0 and 0.4, which use neither blur nor registration.
+
+The trees hold coordinates rounded to 0.001 A, which can hide a last-bit
+change, so one more line, `draws-raw`, digests the unrounded float64
+coordinates of the same draws made in process: guided at blur 0 and 0.5
+and unguided, each at churn 0 and 0.4, with registration off.
+
+`tools/tree_digests.txt` holds the whole listing, which
+`tests/test_tree_digests.py` recomputes; regenerate it with
+
+    PYTHONPATH=src python3 tools/tree_digests.py > tools/tree_digests.txt
 """
 
 from __future__ import annotations
@@ -53,6 +64,9 @@ def cases() -> dict[str, list[str]]:
     return runs
 
 
+RAW = "draws-raw"
+
+
 def write_inputs(directory: str) -> None:
     from cryoguide.forward import grid_for_model, simulate_map
     from cryoguide.priors import chain_template, two_mode_chain_prior
@@ -82,15 +96,54 @@ def tree_digest(root: str, status: int) -> str:
     return h.hexdigest()
 
 
+def raw_digest(inputs: str) -> str:
+    """sha256 of the unrounded coordinates of the demo config's draws, made
+    in process: guided at blur 0 and 0.5 and unguided, each at churn 0 and
+    0.4, registration off.  A draw that fails adds its error instead."""
+    import numpy as np
+
+    from cryoguide.config import load_config
+    from cryoguide.forward import BlurOperator
+    from cryoguide.pipeline import _prior_and_template, _sample_seed
+    from cryoguide.pointcloud import extract_pointcloud
+    from cryoguide.sampler import GuidanceContext, sample_guided, sample_unguided
+    from cryoguide.volume import read_mrc
+
+    h = hashlib.sha256()
+    for churn in ("0", "0.4"):
+        cfg = load_config(os.path.join(inputs, "demo.cfg"), [f"churn={churn}"])
+        prior, template = _prior_and_template(cfg)
+        schedule = cfg.noise_schedule()
+        seeds = [_sample_seed(cfg.seed, rep, j)
+                 for rep in range(cfg.n_replicates) for j in range(cfg.n_samples)]
+        dmap = read_mrc(cfg.map)
+        cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
+        draws = []
+        for blur in (0.0, 0.5):
+            ctx = GuidanceContext(target_map=dmap, target_cloud=cloud,
+                                  resolution=cfg.resolution,
+                                  sinkhorn=cfg.sinkhorn_config(), blur=BlurOperator(blur))
+            draws += [d if isinstance(d, Exception) else d[0].coords() for d in
+                      sample_guided(prior, ctx, schedule, cfg.guidance_schedule(),
+                                    template, seeds)]
+        draws += sample_unguided(prior, schedule, seeds)
+        for d in draws:
+            if isinstance(d, Exception):
+                h.update(f"error {type(d).__name__}: {d}\n".encode())
+            else:
+                h.update(np.ascontiguousarray(d, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def digests(names=None) -> list[str]:
     """The `sha256  name` lines of the named cases (all when None), in the
-    matrix's order."""
+    matrix's order, `draws-raw` last."""
     from cryoguide import cli
 
     runs = cases()
-    unknown = sorted(set(names or ()) - set(runs))
+    unknown = sorted(set(names or ()) - set(runs) - {RAW})
     if unknown:
-        raise ValueError(f"unknown cases {unknown}; known: {sorted(runs)}")
+        raise ValueError(f"unknown cases {unknown}; known: {sorted(runs) + [RAW]}")
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         inputs = os.path.join(tmp, "inputs")
@@ -106,7 +159,17 @@ def digests(names=None) -> list[str]:
             with contextlib.redirect_stderr(io.StringIO()):
                 status = cli.main(argv)
             lines.append(f"{tree_digest(out, status)}  {name}")
+        if names is None or RAW in names:
+            lines.append(f"{raw_digest(inputs)}  {RAW}")
     return lines
+
+
+def versions() -> str:
+    """The header line of the listing: the digests hold for these versions."""
+    import numpy
+    import scipy
+
+    return f"# numpy {numpy.__version__}, scipy {scipy.__version__}"
 
 
 def main(argv=None) -> int:
@@ -114,6 +177,7 @@ def main(argv=None) -> int:
     parser.add_argument("names", nargs="*", help="cases to run (default: all)")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.ERROR)   # before cli.main sets up its own
+    print(versions())
     for line in digests(args.names or None):
         print(line)
     return 0
