@@ -301,8 +301,7 @@ def dock_to_map(model: AtomicModel, dmap: DensityMap, resolution: float,
     ax = [np.unique(np.concatenate([np.arange(0, r + 1, step),
                                     -np.arange(0, r + 1, step)]))
           for r in ranges]
-    shifts = np.array([(sx, sy, sz) for sx in ax[0] for sy in ax[1] for sz in ax[2]],
-                      dtype=np.float64)
+    n_shifts = tuple(len(a) for a in ax)
 
     rotations = [np.eye(3)] + quasi_uniform_rotations(n_rotations)
     if seed != 0:
@@ -317,7 +316,8 @@ def dock_to_map(model: AtomicModel, dmap: DensityMap, resolution: float,
         x = ((coords - com) @ R.T + com - origin) / voxel
         dots = _lattice_scores(pairs, x, amps, ax)
         j = int(np.argmax(dots))
-        cands.append((dots[j], R, com - R @ com + shifts[j] * voxel))
+        shift = np.array([a[i] for a, i in zip(ax, np.unravel_index(j, n_shifts))])
+        cands.append((dots[j], R, com - R @ com + shift * voxel))
     del pairs   # U, a view of it, holds it only until the next level
     cands.sort(key=lambda c: -c[0])   # stable: ties keep candidate order
     R = np.array([c[1] for c in cands[:_SCAN_KEEP]])
@@ -337,7 +337,7 @@ def dock_to_map(model: AtomicModel, dmap: DensityMap, resolution: float,
         levels.append(f"{sigma_x:g} A {time.perf_counter() - start:.3f} s "
                       f"{lookups} lookups")
     log.debug("dock: scan %.3f s over %d rotations x %d shifts; refinement %s",
-              scan_s, len(rotations), len(shifts), ", ".join(levels))
+              scan_s, len(rotations), np.prod(n_shifts), ", ".join(levels))
 
     R, t = R[0], t[0]
     sim = splat(coords @ R.T + t, amps, target.shape, origin, voxel, sigma_atom)

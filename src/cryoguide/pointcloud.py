@@ -1,9 +1,9 @@
 """Density map -> compact weighted point cloud via weighted k-means.
 
-Every assignment (Lloyd updates, restart objective, `kmeans_objective`) uses
-one rule: nearest center by squared distance, ties to the lowest index.
-Assignments run one center at a time and the center updates are grouped sums,
-so memory stays O(voxels) at any k.
+Every distance (k-means++ seeding, Lloyd updates, restart objective,
+`kmeans_objective`) is `_assign`'s: nearest center by squared distance,
+ties to the lowest index.  Assignments run one center at a time and the
+center updates are grouped sums, so memory stays O(voxels) at any k.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ class PointCloud:
         w = np.asarray(w, dtype=np.float64).reshape(-1)
         if len(w) != len(pts):
             raise ValueError(f"{len(w)} weights for {len(pts)} points")
+        if not np.isfinite(w).all():
+            raise ValueError("point cloud contains non-finite weights")
         if (w < 0).any() or w.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum")
         object.__setattr__(self, "points", pts)
@@ -89,19 +91,21 @@ def _cluster_sums(labels, w, k):
     return counts, sums
 
 
-def _kmeans_once(pts, cols, wcols, w, k, rng):
-    # weighted k-means++ seeding
+def _kmeans_once(cols, wcols, w, k, rng):
+    """Weighted k-means++ seeding, then Lloyd updates, over the points of
+    columns cols (3, N) with intensities w (N,) and wcols = w * cols; every
+    distance is `_assign`'s.  Returns centers (k, 3), labels and objective."""
     centers = np.empty((k, 3))
-    centers[0] = pts[rng.choice(len(pts), p=w / w.sum())]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    centers[0] = cols[:, rng.choice(len(w), p=w / w.sum())]
+    d2 = _assign(cols, centers[:1])[1]
     for j in range(1, k):
         p = w * d2
         total = p.sum()
         if total <= 0:  # all mass already on chosen centers
-            centers[j] = pts[rng.integers(len(pts))]
+            centers[j] = cols[:, rng.integers(len(w))]
         else:
-            centers[j] = pts[rng.choice(len(pts), p=p / total)]
-        d2 = np.minimum(d2, np.sum((pts - centers[j]) ** 2, axis=1))
+            centers[j] = cols[:, rng.choice(len(w), p=p / total)]
+        d2 = np.minimum(d2, _assign(cols, centers[j:j + 1])[1])
 
     for _ in range(100):
         labels, d2min = _assign(cols, centers)
@@ -114,7 +118,7 @@ def _kmeans_once(pts, cols, wcols, w, k, rng):
             new_centers[full, d] = num[full] / sums[full]
         if not full.all():
             # repair: move empty clusters to the highest-weighted, worst-fit voxel
-            new_centers[~full] = pts[np.argmax(w * d2min)]
+            new_centers[~full] = cols[:, np.argmax(w * d2min)]
         if np.max(np.abs(new_centers - centers)) < 1e-4:
             centers = new_centers
             break
@@ -125,11 +129,11 @@ def _kmeans_once(pts, cols, wcols, w, k, rng):
 
 
 def _positive_voxels(dmap: DensityMap):
-    """World coordinates (N, 3), their contiguous x, y, z columns (3, N) and
-    intensities of the map's positive voxels."""
+    """World x, y, z columns (3, N) and intensities (N,) of the map's
+    positive voxels, in C order."""
     pos = dmap.data > 0
-    pts = np.argwhere(pos) * dmap.voxel_size + dmap.origin
-    return pts, np.ascontiguousarray(pts.T), dmap.data[pos]
+    cols = np.array(np.nonzero(pos)) * dmap.voxel_size + dmap.origin[:, None]
+    return cols, dmap.data[pos]
 
 
 def extract_pointcloud(dmap: DensityMap, k: int, seed: int = 0,
@@ -145,15 +149,15 @@ def extract_pointcloud(dmap: DensityMap, k: int, seed: int = 0,
         raise ValueError(f"extract_pointcloud: k must be >= 1, got {k}")
     if restarts < 1:
         raise ValueError(f"extract_pointcloud: restarts must be >= 1, got {restarts}")
-    pts, cols, w = _positive_voxels(dmap)
-    if len(pts) < k:
-        raise ValueError(f"extract_pointcloud: {len(pts)} positive voxels < k = {k}")
+    cols, w = _positive_voxels(dmap)
+    if len(w) < k:
+        raise ValueError(f"extract_pointcloud: {len(w)} positive voxels < k = {k}")
     wcols = w * cols
 
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
-        centers, labels, obj = _kmeans_once(pts, cols, wcols, w, k, rng)
+        centers, labels, obj = _kmeans_once(cols, wcols, w, k, rng)
         if best is None or obj < best[2]:
             best = (centers, labels, obj)
     centers, labels, _ = best
@@ -163,6 +167,6 @@ def extract_pointcloud(dmap: DensityMap, k: int, seed: int = 0,
 
 def kmeans_objective(dmap: DensityMap, centers: np.ndarray) -> float:
     """Weighted assignment objective of `centers` on the map's positive voxels."""
-    _, cols, w = _positive_voxels(dmap)
+    cols, w = _positive_voxels(dmap)
     _, d2min = _assign(cols, np.asarray(centers, dtype=np.float64).reshape(-1, 3))
     return float(np.sum(w * d2min))

@@ -178,8 +178,8 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
     """OT(X, Y): alternating warm-up sweeps, then damped Newton steps on the
     concave dual; a step that fails is replaced by one sweep.
 
-    X is a stack of clouds (B, N, 3) with masses a (B, N), each against the
-    cloud Y (M, 3) with masses b (M,).  Returns f (B, N), g (B, M), gamma
+    X is a stack of clouds (B, N, 3), each with the masses a (N,), against
+    the cloud Y (M, 3) with masses b (M,).  Returns f (B, N), g (B, M), gamma
     (B, N, M) and per-row converged flags and iteration counts.  Every row
     takes its own sweeps, Newton steps, step halvings and stop, and leaves
     the stack with its result when it stops, so its result is bitwise that
@@ -202,7 +202,7 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
     balanced = cfg.balanced
     rho = None if balanced else cfg.reach ** 2
     with np.errstate(divide="ignore"):
-        la = np.log(a)[:, :, None]
+        la = np.log(a)[:, None]
         lb = np.log(b)
     damp = _damp(cfg)
     Ce = _cost(X, Y) / eps
@@ -214,15 +214,14 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
         residual and its largest magnitude, plan and relaxed marginals
         (None when balanced) at (f, g) for the given rows; overflow gives a
         non-finite value or residual."""
-        ar = a[rows]
         gamma = np.exp(pk[rows] + (f[:, :, None] + g[:, None, :]) / eps)
         if balanced:
             ua = ub = None
-            value = _rowdot(ar, f) + _rowdot(b, g) - eps * _sum(gamma, axis=(1, 2))
-            rf = ar - _sum(gamma, axis=2)
+            value = _rowdot(a, f) + _rowdot(b, g) - eps * _sum(gamma, axis=(1, 2))
+            rf = a - _sum(gamma, axis=2)
             rg = b - _sum(gamma, axis=1)
         else:
-            ua = ar * np.exp(-f / rho)
+            ua = a * np.exp(-f / rho)
             ub = b * np.exp(-g / rho)
             value = (-rho * (_sum(ua, axis=1) + _sum(ub, axis=1))
                      - eps * _sum(gamma, axis=(1, 2)))
@@ -236,7 +235,7 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
         """One alternating sweep from g for the given rows, and its point."""
         Cr = Ce[rows]
         fs = -damp * eps * _lse(lb - Cr + g[:, None, :] / eps, axis=2)
-        gs = -damp * eps * _lse(la[rows] - Cr + fs[:, :, None] / eps, axis=1)
+        gs = -damp * eps * _lse(la - Cr + fs[:, :, None] / eps, axis=1)
         return fs, gs, point(fs, gs, rows)
 
     def newton(f, g, value, rf, rg, res, gamma, ua, ub):
@@ -304,7 +303,7 @@ def _solve(X, a, Y, b, cfg: SinkhornConfig):
                 if stop.all():
                     break
                 keep = ~stop
-                live, f, g, Ce, pk, a, la = (x[keep] for x in (live, f, g, Ce, pk, a, la))
+                live, f, g, Ce, pk = (x[keep] for x in (live, f, g, Ce, pk))
                 state = [None if x is None else x[keep] for x in state]
     return f_out, g_out, gamma_out, converged, iterations
 
@@ -316,7 +315,7 @@ def _solve_self(X, a, cfg: SinkhornConfig):
     that the plain iteration f <- T(f) shows on symmetric problems.  A row
     stops when the update moves its f by less than `tol`.
 
-    X is a stack of clouds (B, n, 3) with masses a (B, n).  Returns f
+    X is a stack of clouds (B, n, 3), each with the masses a (n,).  Returns f
     (B, n), gamma (B, n, n) and per-row converged flags and iteration
     counts.  Every row leaves the stack with its potential when it stops,
     and the plans are formed from the potentials at the end, so each row's
@@ -327,13 +326,13 @@ def _solve_self(X, a, cfg: SinkhornConfig):
     with np.errstate(divide="ignore"):
         la = np.log(a)
     damp = _damp(cfg)
-    fk = la[:, None, :] - C / eps
+    fk = la - C / eps
 
-    B = len(X)
-    f_out = np.empty(a.shape)
+    B, n = X.shape[:2]
+    f_out = np.empty((B, n))
     converged, iterations = np.empty(B, dtype=bool), np.empty(B, dtype=int)
     live = np.arange(B)   # the clouds that the rows of f and fk hold
-    f = np.zeros(a.shape)
+    f = np.zeros((B, n))
     with np.errstate(divide="ignore"):
         for it in range(1, cfg.max_iters + 1):
             f_new = 0.5 * (f - damp * eps * _lse(fk + f[:, None, :] / eps, axis=2))
@@ -347,7 +346,7 @@ def _solve_self(X, a, cfg: SinkhornConfig):
                     break
                 keep = ~stop
                 live, f, fk = live[keep], f[keep], fk[keep]
-    gamma = np.exp(la[:, :, None] + la[:, None, :]
+    gamma = np.exp(la[:, None] + la
                    + (f_out[:, :, None] + f_out[:, None, :] - C) / eps)
     return f_out, gamma, converged, iterations
 
@@ -374,12 +373,12 @@ def ot_epsilon(X: PointCloud, Y: PointCloud,
         raise ValueError("ot_epsilon requires nonempty point clouds")
     a = _masses(X)
     if Y is X:
-        F, gammas, conv, its = _solve_self(X.points[None], a[None], cfg)
+        F, gammas, conv, its = _solve_self(X.points[None], a, cfg)
         f, gamma, converged, it = F[0], gammas[0], bool(conv[0]), int(its[0])
         g, b = f, a
     else:
         b = _masses(Y)
-        F, G, gammas, conv, its = _solve(X.points[None], a[None], Y.points, b, cfg)
+        F, G, gammas, conv, its = _solve(X.points[None], a, Y.points, b, cfg)
         f, g, gamma, converged, it = F[0], G[0], gammas[0], bool(conv[0]), int(its[0])
     cost = _dual_value(a, f, b, g, cfg)
     return cost, TransportPlan(gamma=gamma, f=f, g=g, converged=converged, iterations=it)
@@ -419,15 +418,13 @@ def divergence_grad(X: Iterable[PointCloud], Y: PointCloud,
     if len(sizes) != 1:
         raise ValueError("divergence_grad needs one or more clouds of one size, "
                          f"got {len(X)} clouds of sizes {sizes}")
-    Q, b = Y.points, _masses(Y)
+    Q, a, b = Y.points, _masses(X[0]), _masses(Y)
     n, m = sizes[0], len(Q)
     rows = max(1, _STACK_BYTES // (8 * n * (_CROSS_STACKS * m + _SELF_STACKS * n)))
     grads = []
     for s in range(0, len(X), rows):
-        chunk = X[s:s + rows]
-        stack = np.stack([c.points for c in chunk])
-        A = np.stack([_masses(c) for c in chunk])
-        F, G, gammas, converged, iterations = _solve(stack, A, Q, b, cfg)
+        stack = np.stack([c.points for c in X[s:s + rows]])
+        F, G, gammas, converged, iterations = _solve(stack, a, Q, b, cfg)
         if len(X) == 1:
             # one cloud's self term goes through ot_epsilon, a stack of one,
             # where a benchmark trace counts the self-term solves
@@ -435,14 +432,12 @@ def divergence_grad(X: Iterable[PointCloud], Y: PointCloud,
         else:
             self_plans = [TransportPlan(gamma=gamma, f=f, g=f, converged=bool(conv),
                                         iterations=int(its))
-                          for f, gamma, conv, its in zip(*_solve_self(stack, A, cfg))]
-        for k, (c, pxx) in enumerate(zip(chunk, self_plans)):
-            gamma = gammas[k]
+                          for f, gamma, conv, its in zip(*_solve_self(stack, a, cfg))]
+        for k, (P, gamma, pxx) in enumerate(zip(stack, gammas, self_plans)):
             if on_plans is not None:
                 on_plans(TransportPlan(gamma=gamma, f=F[k], g=G[k],
                                        converged=bool(converged[k]),
                                        iterations=int(iterations[k])), pxx)
-            P = c.points
             gx = gamma.sum(axis=1)[:, None] * P - gamma @ Q
             gxx = 2.0 * (pxx.gamma.sum(axis=1)[:, None] * P - pxx.gamma @ P)
             grads.append(gx - 0.5 * gxx)

@@ -52,7 +52,7 @@ class DensityMap:
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         if not np.isfinite(origin).all():
             raise ValueError(f"origin must be finite, got {origin}")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", data.view())   # the caller's array stays writable
         object.__setattr__(self, "origin", origin)
         self.data.setflags(write=False)
 

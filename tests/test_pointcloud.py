@@ -118,6 +118,9 @@ class TestPointCloud:
             PointCloud(np.zeros((2, 3)), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="positive sum"):
             PointCloud(np.zeros((2, 3)), np.array([0.0, 0.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite weights"):
+                PointCloud(np.zeros((2, 3)), np.array([bad, 1.0]))
 
 
 class TestClusterCount:

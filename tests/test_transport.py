@@ -390,7 +390,7 @@ class TestCrossSolverBookkeeping:
             a, b = X.weights, Y.weights
         else:
             a, b = transport._masses(X), transport._masses(Y)
-        got = transport._solve(X.points[None], a[None], Y.points, b, cfg)
+        got = transport._solve(X.points[None], a, Y.points, b, cfg)
         want = concatenated_residual_solve(X.points, a, Y.points, b, cfg)
         for name, x, y in zip(("f", "g", "gamma"), got[:3], want[:3]):
             assert x[0].tobytes() == y.tobytes(), name
@@ -504,15 +504,15 @@ def single_solve(X, a, Y, b, cfg, log=None):
 
 def stacked_case(seed, size, n=None, m=None):
     """`size` clouds of one size, jittered copies of one random cloud as a
-    replicate's samples are, random masses, and one random target."""
+    replicate's samples are, one random mass vector, and one random target."""
     rng = np.random.default_rng(seed)
     n = n or int(rng.integers(1, 40))
     m = m or int(rng.integers(1, 12))
     base = rng.uniform(-3, 3, (n, 3))
     X = base + rng.normal(0, rng.uniform(0.1, 2.0), (size, n, 3))
-    a = rng.uniform(0.2, 1.0, (size, n))
+    a = rng.uniform(0.2, 1.0, n)
     b = rng.uniform(0.2, 1.0, m)
-    return X, a / a.sum(axis=1, keepdims=True), rng.uniform(-3, 3, (m, 3)), b / b.sum()
+    return X, a / a.sum(), rng.uniform(-3, 3, (m, 3)), b / b.sum()
 
 
 def assert_rows_match_alone(X, a, Y, b, cfg, logs=None):
@@ -521,7 +521,7 @@ def assert_rows_match_alone(X, a, Y, b, cfg, logs=None):
     assert got[0].shape == (len(X), X.shape[1]) and got[2].shape == (len(X), X.shape[1], len(Y))
     for k in range(len(X)):
         log = {}
-        want = single_solve(X[k], a[k], Y, b, cfg, log)
+        want = single_solve(X[k], a, Y, b, cfg, log)
         for name, x, y in zip(("f", "g", "gamma"), got[:3], want[:3]):
             assert x[k].tobytes() == y.tobytes(), (name, k)
         assert (bool(got[3][k]), int(got[4][k])) == want[3:], k
@@ -559,7 +559,7 @@ class TestStackedCrossSolve:
         # not converge (see CHANGES.md); jittered copies make a stack of three
         rng = np.random.default_rng(5)
         X = chain_cloud().points + rng.normal(0, 0.05, (3, 30, 3))
-        a = np.full((3, 30), 1 / 30)
+        a = np.full(30, 1 / 30)
         Y = target_cloud()
         cfg = SinkhornConfig(epsilon=1e-3, reach=reach, max_iters=80)
         got = assert_rows_match_alone(X, a, Y.points, Y.weights, cfg)
@@ -585,7 +585,7 @@ class TestStackedCrossSolve:
             return real(S, r)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        single_solve(X[2], a[2], Y, b, cfg)
+        single_solve(X[2], a, Y, b, cfg)
         singular = seen[1]    # the matrix of row 2's second Newton step
 
         def failing(S, r):
@@ -638,7 +638,7 @@ class TestStackedSelfSolve:
     """The stacked self solve against each cloud solved alone."""
 
     def assert_rows_match_alone(self, X, cfg):
-        a = np.full(X.shape[:2], 1.0 / X.shape[1])
+        a = np.full(X.shape[1], 1.0 / X.shape[1])
         got = transport._solve_self(X, a, cfg)
         assert got[0].shape == X.shape[:2] and got[1].shape == (len(X),) + X.shape[1:2] * 2
         for k, P in enumerate(X):

@@ -246,9 +246,12 @@ class TestDensityMap:
                 DensityMap(data=np.zeros((2, 2, 2)), voxel_size=1.0, origin=(0.0, bad, 0.0))
 
     def test_data_read_only(self):
-        m = DensityMap(data=np.zeros((2, 2, 2)), voxel_size=1.0)
+        given = np.zeros((2, 2, 2))
+        m = DensityMap(data=given, voxel_size=1.0)
+        assert_stored_layout(m)
         with pytest.raises(ValueError):
             m.data[0, 0, 0] = 1.0
+        given[0, 0, 0] = 1.0    # the caller's array stays writable
 
     def test_data_stored_c_contiguous(self, rng):
         values = rng.standard_normal((3, 4, 5))
