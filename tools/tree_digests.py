@@ -100,6 +100,8 @@ def raw_digest(inputs: str) -> str:
     """sha256 of the unrounded coordinates of the demo config's draws, made
     in process: guided at blur 0 and 0.5 and unguided, each at churn 0 and
     0.4, registration off.  A draw that fails adds its error instead."""
+    from dataclasses import replace
+
     import numpy as np
 
     from cryoguide.config import load_config
@@ -109,20 +111,20 @@ def raw_digest(inputs: str) -> str:
     from cryoguide.sampler import GuidanceContext, sample_guided, sample_unguided
     from cryoguide.volume import read_mrc
 
+    cfg = load_config(os.path.join(inputs, "demo.cfg"))
+    prior, template = _prior_and_template(cfg)
+    seeds = [_sample_seed(cfg.seed, rep, j)
+             for rep in range(cfg.n_replicates) for j in range(cfg.n_samples)]
+    dmap = read_mrc(cfg.map)
+    cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
+    contexts = [GuidanceContext(target_map=dmap, target_cloud=cloud,
+                                resolution=cfg.resolution, sinkhorn=cfg.sinkhorn_config(),
+                                blur=BlurOperator(blur)) for blur in (0.0, 0.5)]
     h = hashlib.sha256()
-    for churn in ("0", "0.4"):
-        cfg = load_config(os.path.join(inputs, "demo.cfg"), [f"churn={churn}"])
-        prior, template = _prior_and_template(cfg)
-        schedule = cfg.noise_schedule()
-        seeds = [_sample_seed(cfg.seed, rep, j)
-                 for rep in range(cfg.n_replicates) for j in range(cfg.n_samples)]
-        dmap = read_mrc(cfg.map)
-        cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
+    for churn in (0.0, 0.4):
+        schedule = replace(cfg, churn=churn).noise_schedule()
         draws = []
-        for blur in (0.0, 0.5):
-            ctx = GuidanceContext(target_map=dmap, target_cloud=cloud,
-                                  resolution=cfg.resolution,
-                                  sinkhorn=cfg.sinkhorn_config(), blur=BlurOperator(blur))
+        for ctx in contexts:
             draws += [d if isinstance(d, Exception) else d[0].coords() for d in
                       sample_guided(prior, ctx, schedule, cfg.guidance_schedule(),
                                     template, seeds)]
