@@ -130,7 +130,7 @@ def _kmeans_once(cols, wcols, w, k, rng):
 
 def _positive_voxels(dmap: DensityMap):
     """World x, y, z columns (3, N) and intensities (N,) of the map's
-    positive voxels, in C order."""
+    positive voxels, in C index order."""
     pos = dmap.data > 0
     cols = np.array(np.nonzero(pos)) * dmap.voxel_size + dmap.origin[:, None]
     return cols, dmap.data[pos]
