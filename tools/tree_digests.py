@@ -17,9 +17,12 @@ inputs at blur 0 and 0.5, churn 0 and 0.4, registration off and on, each
 churn 0 and 0.4, which use neither blur nor registration.
 
 The trees hold coordinates rounded to 0.001 A, which can hide a last-bit
-change, so one more line, `draws-raw`, digests the unrounded float64
-coordinates of the same draws made in process: guided at blur 0 and 0.5
-and unguided, each at churn 0 and 0.4, with registration off.
+change, so two more lines digest the unrounded float64 coordinates of the
+same draws made in process.  `draws-raw` covers the guided draws at blur 0
+and 0.5 and the unguided draws, each at churn 0 and 0.4, with registration
+off.  `draws-raw-registered` covers, per replicate, the docked reference
+that `pipeline.build_context` makes and the guided draws registered to it,
+at blur 0 and 0.5 and churn 0 and 0.4.
 
 `tools/tree_digests.txt` holds the whole listing, which
 `tests/test_tree_digests.py` recomputes; regenerate it with
@@ -64,9 +67,6 @@ def cases() -> dict[str, list[str]]:
     return runs
 
 
-RAW = "draws-raw"
-
-
 def write_inputs(directory: str) -> None:
     from cryoguide.forward import grid_for_model, simulate_map
     from cryoguide.priors import chain_template, two_mode_chain_prior
@@ -96,30 +96,49 @@ def tree_digest(root: str, status: int) -> str:
     return h.hexdigest()
 
 
+def _demo_run(inputs: str):
+    """The demo config, its prior and template, and one guidance context per
+    blur, 0 and 0.5, built as the guided run builds its own."""
+    from cryoguide.config import load_config
+    from cryoguide.forward import BlurOperator
+    from cryoguide.pipeline import _prior_and_template
+    from cryoguide.pointcloud import extract_pointcloud
+    from cryoguide.sampler import GuidanceContext
+    from cryoguide.volume import read_mrc
+
+    cfg = load_config(os.path.join(inputs, "demo.cfg"))
+    prior, template = _prior_and_template(cfg)
+    dmap = read_mrc(cfg.map)
+    cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
+    contexts = [GuidanceContext(target_map=dmap, target_cloud=cloud,
+                                resolution=cfg.resolution, sinkhorn=cfg.sinkhorn_config(),
+                                blur=BlurOperator(blur)) for blur in (0.0, 0.5)]
+    return cfg, prior, template, contexts
+
+
+def _digest_draws(h, draws) -> None:
+    """Add each draw's float64 coordinates to h, or its error if it failed."""
+    import numpy as np
+
+    for d in draws:
+        if isinstance(d, Exception):
+            h.update(f"error {type(d).__name__}: {d}\n".encode())
+        else:
+            h.update(np.ascontiguousarray(d, dtype="<f8").tobytes())
+
+
 def raw_digest(inputs: str) -> str:
     """sha256 of the unrounded coordinates of the demo config's draws, made
     in process: guided at blur 0 and 0.5 and unguided, each at churn 0 and
     0.4, registration off.  A draw that fails adds its error instead."""
     from dataclasses import replace
 
-    import numpy as np
+    from cryoguide.pipeline import _sample_seed
+    from cryoguide.sampler import sample_guided, sample_unguided
 
-    from cryoguide.config import load_config
-    from cryoguide.forward import BlurOperator
-    from cryoguide.pipeline import _prior_and_template, _sample_seed
-    from cryoguide.pointcloud import extract_pointcloud
-    from cryoguide.sampler import GuidanceContext, sample_guided, sample_unguided
-    from cryoguide.volume import read_mrc
-
-    cfg = load_config(os.path.join(inputs, "demo.cfg"))
-    prior, template = _prior_and_template(cfg)
+    cfg, prior, template, contexts = _demo_run(inputs)
     seeds = [_sample_seed(cfg.seed, rep, j)
              for rep in range(cfg.n_replicates) for j in range(cfg.n_samples)]
-    dmap = read_mrc(cfg.map)
-    cloud = extract_pointcloud(dmap, cfg.k_points, seed=cfg.seed)
-    contexts = [GuidanceContext(target_map=dmap, target_cloud=cloud,
-                                resolution=cfg.resolution, sinkhorn=cfg.sinkhorn_config(),
-                                blur=BlurOperator(blur)) for blur in (0.0, 0.5)]
     h = hashlib.sha256()
     for churn in (0.0, 0.4):
         schedule = replace(cfg, churn=churn).noise_schedule()
@@ -129,23 +148,51 @@ def raw_digest(inputs: str) -> str:
                       sample_guided(prior, ctx, schedule, cfg.guidance_schedule(),
                                     template, seeds)]
         draws += sample_unguided(prior, schedule, seeds)
-        for d in draws:
-            if isinstance(d, Exception):
-                h.update(f"error {type(d).__name__}: {d}\n".encode())
-            else:
-                h.update(np.ascontiguousarray(d, dtype="<f8").tobytes())
+        _digest_draws(h, draws)
     return h.hexdigest()
+
+
+def raw_registered_digest(inputs: str) -> str:
+    """sha256 of the unrounded coordinates of the demo config's registered
+    draws, made in process through `pipeline.build_context`: at churn 0 and
+    0.4 and blur 0 and 0.5, per replicate, the docked reference and then
+    the replicate's guided draws in the map frame.  A draw that fails adds
+    its error instead."""
+    from dataclasses import replace
+
+    from cryoguide.pipeline import _sample_seed, build_context
+    from cryoguide.sampler import sample_guided
+
+    cfg, prior, template, contexts = _demo_run(inputs)
+    h = hashlib.sha256()
+    for churn in (0.0, 0.4):
+        run = replace(cfg, churn=churn, register=True)
+        schedule = run.noise_schedule()
+        for run_ctx in contexts:
+            for rep in range(run.n_replicates):
+                ctx = build_context(run, run_ctx, prior, schedule, rep)
+                seeds = [_sample_seed(run.seed, rep, j) for j in range(run.n_samples)]
+                draws = [ctx.reference]
+                draws += [d if isinstance(d, Exception) else d[0].coords() for d in
+                          sample_guided(prior, ctx, schedule, run.guidance_schedule(),
+                                        template, seeds)]
+                _digest_draws(h, draws)
+    return h.hexdigest()
+
+
+# the in-process lines, digested after the trees in this order
+RAW = {"draws-raw": raw_digest, "draws-raw-registered": raw_registered_digest}
 
 
 def digests(names=None) -> list[str]:
     """The `sha256  name` lines of the named cases (all when None), in the
-    matrix's order, `draws-raw` last."""
+    matrix's order, the in-process lines last."""
     from cryoguide import cli
 
     runs = cases()
-    unknown = sorted(set(names or ()) - set(runs) - {RAW})
+    unknown = sorted(set(names or ()) - set(runs) - set(RAW))
     if unknown:
-        raise ValueError(f"unknown cases {unknown}; known: {sorted(runs) + [RAW]}")
+        raise ValueError(f"unknown cases {unknown}; known: {sorted(runs) + list(RAW)}")
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         inputs = os.path.join(tmp, "inputs")
@@ -161,8 +208,9 @@ def digests(names=None) -> list[str]:
             with contextlib.redirect_stderr(io.StringIO()):
                 status = cli.main(argv)
             lines.append(f"{tree_digest(out, status)}  {name}")
-        if names is None or RAW in names:
-            lines.append(f"{raw_digest(inputs)}  {RAW}")
+        for name, digest in RAW.items():
+            if names is None or name in names:
+                lines.append(f"{digest(inputs)}  {name}")
     return lines
 
 
