@@ -415,6 +415,24 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
     """
     t_w, t_g, t_l = gsched.t_warm, gsched.t_global, gsched.t_local
 
+    def transport(world, sts):
+        """Transport gradients of a stack of map-frame rows, each row counted
+        with its plans once every one is solved."""
+        plans = []
+        grads = divergence_grad(world, ctx.target_cloud, ctx.sinkhorn,
+                                on_plans=lambda *p: plans.append(p))
+        for st, p in zip(sts, plans):
+            st.record_plans(*p)
+        return grads
+
+    def density(world, sts):
+        """Density gradients of a stack of map-frame rows, each row counted."""
+        grads = density_loss_grad_coords(world, amps, ctx.target_map, ctx.resolution,
+                                         ctx.blur)
+        for st in sts:
+            st.local_evals += 1
+        return grads
+
     def guide(i, x_hat, tweedie_disp, s_hat, s_next):
         if not (t_w <= i < t_w + t_g + t_l):
             return None
@@ -434,58 +452,31 @@ def _make_multiscale_guide(ctx: GuidanceContext, gsched: GuidanceSchedule,
                         st.error = exc
             return out
 
-        def to_map(r, st):
-            if i == t_w and ctx.reference is not None:
+        if i == t_w and ctx.reference is not None:
+            def set_frame(r, st):
                 st.frame, _ = kabsch(pts[r], ctx.reference)
-            return st.frame.apply(pts[r]) if st.frame is not None else pts[r]
 
-        def stacked(grads_of, items):
-            """grads_of(rows) for the rows whose item is not None, as one
-            call; when it raises, each row alone, so only the rows that
-            raise alone fail."""
-            rows = [r for r, item in enumerate(items) if item is not None]
-            grads = [None] * len(live)
-            try:
-                if rows:
-                    for r, grad in zip(rows, grads_of(rows)):
-                        grads[r] = grad
-            except Exception:
-                grads = each(lambda r, st: grads_of([r])[0])
-            return grads
-
-        world = each(to_map)
+            each(set_frame)
         if i < t_w + t_g:
-            lam = lambda_global(i - t_w, gsched)
-            if lam == 0.0:
-                return None
-            clouds = each(lambda r, st: PointCloud(world[r]))
-
-            def global_grads(rows):
-                """The gradients of these rows' clouds, their cross and self
-                terms solved as two stacks; counted once every one is
-                solved."""
-                plans = []
-                grads = divergence_grad([clouds[r] for r in rows], ctx.target_cloud,
-                                        ctx.sinkhorn, on_plans=lambda *p: plans.append(p))
-                for r, p in zip(rows, plans):
-                    live[r].record_plans(*p)
-                return grads
-
-            grads = stacked(global_grads, clouds)
+            lam, layer = lambda_global(i - t_w, gsched), transport
         else:
-            lam = gsched.lambda_local
-            if lam == 0.0:
-                return None
+            lam, layer = gsched.lambda_local, density
+        if lam == 0.0:
+            return None
 
-            def local_grads(rows):
-                """The density gradients of these rows as one stack."""
-                grads = density_loss_grad_coords(np.array([world[r] for r in rows]), amps,
-                                                 ctx.target_map, ctx.resolution, ctx.blur)
-                for r in rows:
-                    live[r].local_evals += 1
-                return grads
+        def grads_of(rows):
+            """The stage's gradients of these rows, taken in the map frame as
+            one stack."""
+            sts = [live[r] for r in rows]
+            world = np.array([pts[r] if st.frame is None else st.frame.apply(pts[r])
+                              for r, st in zip(rows, sts)])
+            return layer(world, sts)
 
-            grads = stacked(local_grads, world)
+        rows = [r for r, st in enumerate(live) if st.error is None]
+        try:
+            grads = dict(zip(rows, grads_of(rows)))
+        except Exception:   # each row alone, so only the rows that raise alone fail
+            grads = each(lambda r, st: grads_of([r])[0])
         delta = np.zeros_like(x_hat)
 
         def displace(r, st):

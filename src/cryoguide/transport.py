@@ -24,7 +24,7 @@ iterations where the alternating updates need thousands.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,42 +393,43 @@ def sinkhorn_divergence(X: PointCloud, Y: PointCloud,
     return cxy - 0.5 * cxx - 0.5 * cyy
 
 
-def divergence_grad(X: Iterable[PointCloud], Y: PointCloud,
+def divergence_grad(X: np.ndarray, Y: PointCloud,
                     cfg: SinkhornConfig = SinkhornConfig(),
                     on_plans: Callable[[TransportPlan, TransportPlan], None] | None = None
-                    ) -> list[np.ndarray]:
+                    ) -> np.ndarray:
     """Gradient of sinkhorn_divergence with respect to the positions of each
-    cloud of X, any iterable of clouds of one size; no clouds or clouds of
-    different sizes raise ValueError before any solve.
+    cloud of the stack X (B, N, 3), as a (B, N, 3) array; another shape, no
+    clouds or a non-finite coordinate raise ValueError before any solve.
 
     Envelope form: the converged plans are held fixed, so for the half-sum
     of squared distances cost the cross term contributes
     sum_j gamma_ij (x_i - y_j) and the (symmetric) self term twice that
     with Y = X.  Exact at convergence.
 
-    The cross terms against Y are solved as stacks, and the self terms as
-    stacks of the same clouds, a chunk of clouds at a time within
-    _STACK_BYTES; each row is bitwise its own solve.  `on_plans`, when
-    given, is called with each cloud's cross-term and self-term
+    The cross and the self terms are solved as stacks, a chunk of clouds at
+    a time within _STACK_BYTES; each row is bitwise its own solve.
+    `on_plans`, when given, gets each cloud's cross-term and self-term
     TransportPlans in order, so a caller can keep their iteration counts
     and convergence flags.
     """
-    X = list(X)
-    sizes = sorted({len(c) for c in X})
-    if len(sizes) != 1:
-        raise ValueError("divergence_grad needs one or more clouds of one size, "
-                         f"got {len(X)} clouds of sizes {sizes}")
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 3 or X.shape[2] != 3 or 0 in X.shape:
+        raise ValueError(f"divergence_grad needs a (B, N, 3) stack of one or more "
+                         f"nonempty clouds, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("point cloud contains non-finite coordinates")
     Q, a, b = Y.points, _masses(X[0]), _masses(Y)
-    n, m = sizes[0], len(Q)
+    n, m = X.shape[1], len(Q)
     rows = max(1, _STACK_BYTES // (8 * n * (_CROSS_STACKS * m + _SELF_STACKS * n)))
-    grads = []
+    grads = np.empty_like(X)
     for s in range(0, len(X), rows):
-        stack = np.stack([c.points for c in X[s:s + rows]])
+        stack = X[s:s + rows]
         F, G, gammas, converged, iterations = _solve(stack, a, Q, b, cfg)
         if len(X) == 1:
             # one cloud's self term goes through ot_epsilon, a stack of one,
             # where a benchmark trace counts the self-term solves
-            self_plans = [ot_epsilon(X[0], X[0], cfg)[1]]
+            cloud = PointCloud(stack[0])
+            self_plans = [ot_epsilon(cloud, cloud, cfg)[1]]
         else:
             self_plans = [TransportPlan(gamma=gamma, f=f, g=f, converged=bool(conv),
                                         iterations=int(its))
@@ -440,5 +441,5 @@ def divergence_grad(X: Iterable[PointCloud], Y: PointCloud,
                                        iterations=int(iterations[k])), pxx)
             gx = gamma.sum(axis=1)[:, None] * P - gamma @ Q
             gxx = 2.0 * (pxx.gamma.sum(axis=1)[:, None] * P - pxx.gamma @ P)
-            grads.append(gx - 0.5 * gxx)
+            grads[s + k] = gx - 0.5 * gxx
     return grads

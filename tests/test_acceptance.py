@@ -211,7 +211,7 @@ def test_criterion_03_gradients_match_finite_differences():
         Y = PointCloud(rng.uniform(-3, 3, (m, 3)))
         cfg = SinkhornConfig(epsilon=0.5, reach=(None if f % 2 == 0 else 10.0),
                              max_iters=3000, tol=1e-7)
-        [g] = divergence_grad([X], Y, cfg)
+        [g] = divergence_grad(X.points[None], Y, cfg)
         gf = _central_difference(
             lambda p: sinkhorn_divergence(PointCloud(p), Y, cfg), X.points, h)
         worst_transport = max(worst_transport,

@@ -724,6 +724,40 @@ class TestBatchFailures:
         assert all(str(a).startswith("non-finite score at sigma=") for a in failed)
         self.check(alone, batch)
 
+    def test_overflowing_estimate(self):
+        prior, template, ctx = demo_context()
+
+        class Overflows(ScoreModel):
+            """The prior, but a large finite score at one global and one local
+            step for rows whose noisy first coordinate has an even millionths
+            digit, a property of each sample alone: the score is finite, and
+            the denoised estimate x + sigma^2 s is not."""
+            n_atoms = prior.n_atoms
+            calls = 0
+
+            def score(self, x, sigma):
+                self.calls += 1
+                s = prior.score(x, sigma)
+                if self.calls - 1 in (DEMO_STAGES.t_warm + 1,
+                                      DEMO_STAGES.t_warm + DEMO_STAGES.t_global + 1):
+                    s[(np.abs(x[:, 0]) * 1e6).astype(int) % 2 == 0] = 1e308
+                return s
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone, batch = self.draw_all(lambda s: sample_guided(
+                Overflows(), ctx, DEMO_SCHED, DEMO_STAGES, template, s))
+        failed = {str(a) for a in alone if isinstance(a, Exception)}
+        assert all(isinstance(a, ValueError) for a in alone if isinstance(a, Exception))
+        # one sample fails in the global stage and one in the local stage
+        assert "point cloud contains non-finite coordinates" in failed
+        assert any(m.startswith("coords contain ") for m in failed)
+        assert not all(isinstance(a, Exception) for a in alone)
+        self.check(alone, batch)
+        for a, b in zip(alone, batch):
+            if not isinstance(a, Exception):
+                assert stats_key(b[1]) == stats_key(a[1])
+
     @pytest.mark.parametrize("where", ["local", "cross", "self", "displace"])
     def test_guidance_error_fails_its_sample_alone(self, monkeypatch, where):
         prior, template, ctx = demo_context()

@@ -37,6 +37,11 @@ def brute_force_balanced_cost(X, Y):
     return best
 
 
+def stack(clouds):
+    """The (B, N, 3) stack of these clouds' points, divergence_grad's input."""
+    return np.stack([c.points for c in clouds])
+
+
 def clouds(seed, n=4, m=None, spread=3.0):
     rng = np.random.default_rng(seed)
     m = n if m is None else m
@@ -683,7 +688,7 @@ class TestStackedSelfSolve:
         Y = target_cloud()
         cfg = SinkhornConfig(epsilon=1.0, reach=40.0)
         plans = []
-        divergence_grad(Xs, Y, cfg, on_plans=lambda *p: plans.append(p))
+        divergence_grad(stack(Xs), Y, cfg, on_plans=lambda *p: plans.append(p))
         assert len(plans) == len(Xs)
         assert len({pxx.iterations for _, pxx in plans}) > 1
         for X, (cross, pxx) in zip(Xs, plans):
@@ -709,7 +714,7 @@ class TestChunkedDivergence:
 
     def run(self, Xs, Y, cfg):
         plans = []
-        grads = divergence_grad(Xs, Y, cfg, on_plans=lambda *p: plans.append(p))
+        grads = divergence_grad(stack(Xs), Y, cfg, on_plans=lambda *p: plans.append(p))
         return [g.tobytes() for g in grads], [
             [(getattr(p, name).tobytes(), p.converged, p.iterations)
              for name in ("f", "g", "gamma") for p in pair] for pair in plans]
@@ -727,10 +732,10 @@ class TestChunkedDivergence:
         Xs, Y, cfg = self.case(8)
         budget = 2 * self.row_bytes(60, 20)
         monkeypatch.setattr(transport, "_STACK_BYTES", budget)
-        divergence_grad(Xs[:2], Y, cfg)    # first-call setup
+        divergence_grad(stack(Xs[:2]), Y, cfg)    # first-call setup
         tracemalloc.start()
         try:
-            divergence_grad(Xs, Y, cfg)
+            divergence_grad(stack(Xs), Y, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -802,7 +807,7 @@ class TestGradient:
         X = PointCloud(rng.uniform(-3, 3, (5, 3)))
         Y = PointCloud(rng.uniform(-3, 3, (7, 3)))
         cfg = SinkhornConfig(epsilon=0.5, reach=reach, max_iters=10_000, tol=1e-10)
-        [grad] = divergence_grad([X], Y, cfg)
+        [grad] = divergence_grad(stack([X]), Y, cfg)
         h = 1e-4
         fd = np.zeros_like(grad)
         for i in range(len(X)):
@@ -820,50 +825,48 @@ class TestGradient:
         pts = rng.uniform(-3, 3, (6, 3))
         X = PointCloud(pts)
         Y = PointCloud(pts.copy())
-        [grad] = divergence_grad([X], Y, SinkhornConfig(epsilon=1.0, reach=10.0,
-                                                        max_iters=5000, tol=1e-10))
+        [grad] = divergence_grad(stack([X]), Y, SinkhornConfig(epsilon=1.0, reach=10.0,
+                                                               max_iters=5000, tol=1e-10))
         assert np.abs(grad).max() < 1e-5
 
     def test_singleton_points_along_displacement(self):
         X = PointCloud(np.array([[1.0, 0.0, 0.0]]))
         Y = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-        [grad] = divergence_grad([X], Y, SinkhornConfig(epsilon=0.5, reach=None))
+        [grad] = divergence_grad(stack([X]), Y, SinkhornConfig(epsilon=0.5, reach=None))
         assert grad[0, 0] > 0.5  # pushes X toward Y under descent
         np.testing.assert_allclose(grad[0, 1:], 0.0, atol=1e-10)
 
     def test_shape(self):
         X, Y = clouds(30, n=4, m=7)
-        assert [g.shape for g in divergence_grad([X, X], Y)] == [(4, 3), (4, 3)]
+        assert [g.shape for g in divergence_grad(stack([X, X]), Y)] == [(4, 3), (4, 3)]
 
     def test_each_cloud_of_a_stack_as_alone(self):
         rng = np.random.default_rng(31)
         Xs = [PointCloud(rng.uniform(-3, 3, (5, 3))) for _ in range(4)]
         Y = PointCloud(rng.uniform(-3, 3, (7, 3)))
         stacked_plans = []
-        grads = divergence_grad(Xs, Y, on_plans=lambda *p: stacked_plans.append(p))
+        grads = divergence_grad(stack(Xs), Y, on_plans=lambda *p: stacked_plans.append(p))
         for X, grad, plans in zip(Xs, grads, stacked_plans):
             alone_plans = []
-            [alone] = divergence_grad([X], Y, on_plans=lambda *p: alone_plans.append(p))
+            [alone] = divergence_grad(stack([X]), Y,
+                                      on_plans=lambda *p: alone_plans.append(p))
             assert np.array_equal(grad, alone)
             for got, want in zip(plans, alone_plans[0]):
                 assert np.array_equal(got.gamma, want.gamma)
                 assert (got.iterations, got.converged) == (want.iterations, want.converged)
 
-    def test_takes_a_generator(self):
-        rng = np.random.default_rng(37)
-        Xs = [PointCloud(rng.uniform(-3, 3, (5, 3))) for _ in range(3)]
-        Y = PointCloud(rng.uniform(-3, 3, (7, 3)))
-        got = divergence_grad((X for X in Xs), Y)
-        want = divergence_grad(Xs, Y)
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-
-    @pytest.mark.parametrize("sizes, message", [([], r"0 clouds of sizes \[\]"),
-                                                ([4, 5, 4], r"3 clouds of sizes \[4, 5\]")])
-    def test_rejects_no_clouds_and_mixed_sizes(self, monkeypatch, sizes, message):
+    @pytest.mark.parametrize("X, message", [
+        (np.zeros((4, 3)), r"\(B, N, 3\) stack .* got shape \(4, 3\)"),
+        (np.zeros((2, 4, 2)), r"got shape \(2, 4, 2\)"),
+        (np.zeros((0, 4, 3)), r"got shape \(0, 4, 3\)"),
+        (np.zeros((2, 0, 3)), r"got shape \(2, 0, 3\)"),
+        (np.array([np.zeros((4, 3)), np.full((4, 3), np.nan)]),
+         "point cloud contains non-finite coordinates"),
+        (np.array([np.full((4, 3), np.inf)]), "point cloud contains non-finite coordinates")])
+    def test_rejects_bad_stacks_before_any_solve(self, monkeypatch, X, message):
         def no_solve(*args):
-            raise AssertionError("solved before the clouds were checked")
+            raise AssertionError("solved before the stack was checked")
 
         monkeypatch.setattr(transport, "_solve", no_solve)
-        Xs = [clouds(s, n=n)[0] for s, n in enumerate(sizes)]
         with pytest.raises(ValueError, match=message):
-            divergence_grad(iter(Xs), clouds(9, n=3)[0])
+            divergence_grad(X, clouds(9, n=3)[0])
