@@ -15,10 +15,8 @@ from .forward import BlurOperator, grid_for_model, simulate_map
 from .metrics import evaluate
 from .pipeline import run_guided, run_unguided
 from .pointcloud import cluster_count, extract_pointcloud
-from .sampler import SamplingError
-from .structure import PdbFormatError, read_pdb, write_pdb
-from .volume import (MapFormatError, crop_pad, dust, mask_near_model, read_mrc,
-                     threshold, write_mrc)
+from .structure import read_pdb, write_pdb
+from .volume import crop_pad, dust, mask_near_model, read_mrc, threshold, write_mrc
 
 log = logging.getLogger(__name__)
 
@@ -242,8 +240,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, MapFormatError, PdbFormatError, SamplingError,
-            ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:   # the package's errors too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

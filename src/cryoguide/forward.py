@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import _splat_py
 from .structure import ATOMIC_NUMBERS, AtomicModel
-from .volume import DensityMap
+from .volume import DensityMap, _handed_over
 
 SIGMA_PER_RESOLUTION = 0.225  # splat width sigma = 0.225 * nominal resolution (A)
 # Largest working set density_loss_grad_coords holds for one chunk of a
@@ -76,7 +76,7 @@ def simulate_map(model: AtomicModel, grid: DensityMap, resolution: float,
                           grid.data.shape, grid.origin, grid.voxel_size, sigma)
     if blur.sigma_b:    # only a real blur calls apply, which a benchmark trace counts
         data = blur.apply(data, grid.voxel_size)
-    return replace(grid, data=data, resolution=resolution)
+    return replace(grid, data=_handed_over(data), resolution=resolution)
 
 
 def grid_for_model(model: AtomicModel, voxel_size: float, pad: float,
@@ -98,7 +98,8 @@ def grid_for_model(model: AtomicModel, voxel_size: float, pad: float,
         dims = np.asarray(shape, dtype=int)
         center = 0.5 * (coords.min(axis=0) + coords.max(axis=0))
         origin = center - 0.5 * (dims - 1) * voxel_size
-    return DensityMap(data=np.zeros(tuple(dims)), voxel_size=voxel_size, origin=origin)
+    return DensityMap(data=_handed_over(np.zeros(tuple(dims))), voxel_size=voxel_size,
+                      origin=origin)
 
 
 def density_loss(model: AtomicModel, target: DensityMap, resolution: float,

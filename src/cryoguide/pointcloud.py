@@ -34,10 +34,13 @@ class PointCloud:
             raise ValueError(f"{len(w)} weights for {len(pts)} points")
         if not np.isfinite(w).all():
             raise ValueError("point cloud contains non-finite weights")
-        if (w < 0).any() or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if (w < 0).any() or not 0 < total < np.inf:
+            raise ValueError(f"weights must be nonnegative with positive sum, "
+                             f"and the sum finite; got sum {total}")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w / w.sum())
+        object.__setattr__(self, "weights", w / total)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -32,7 +32,10 @@ class DensityMap:
     data: (w, h, d) array, x fastest; world of voxel (i,j,k) = origin + voxel_size*(i,j,k).
     It is stored as a read-only, C-contiguous float64 array, whatever the
     layout it was given in, so that arithmetic with the C-ordered grids of
-    the splat kernels runs in one memory order.
+    the splat kernels runs in one memory order.  A writable array that
+    already has that form is copied, since its caller still holds it; a
+    read-only one is kept as it is, which is how the package's builders
+    hand over the arrays that they make.
     """
 
     data: np.ndarray
@@ -52,9 +55,11 @@ class DensityMap:
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         if not np.isfinite(origin).all():
             raise ValueError(f"origin must be finite, got {origin}")
-        object.__setattr__(self, "data", data.view())   # the caller's array stays writable
+        if data.flags.writeable and np.may_share_memory(data, self.data):
+            data = data.copy()
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "origin", origin)
-        self.data.setflags(write=False)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -64,6 +69,13 @@ class DensityMap:
         """World coordinates of every voxel center, shape (w, h, d, 3)."""
         grids = np.meshgrid(*(np.arange(n) for n in self.data.shape), indexing="ij")
         return np.stack(grids, axis=-1) * self.voxel_size + self.origin
+
+
+def _handed_over(data: np.ndarray) -> np.ndarray:
+    """A fresh array that no caller holds, made read-only so that DensityMap
+    keeps it without a copy."""
+    data.setflags(write=False)
+    return data
 
 
 def read_mrc(path) -> DensityMap:
@@ -126,7 +138,7 @@ def read_mrc(path) -> DensityMap:
     origin = np.array([orix, oriy, oriz], dtype=np.float64)
     if np.all(origin == 0.0) and np.any(nstart != 0):
         origin = nstart * voxel_size
-    return DensityMap(data=data, voxel_size=voxel_size, origin=origin)
+    return DensityMap(data=_handed_over(data), voxel_size=voxel_size, origin=origin)
 
 
 def write_mrc(dmap: DensityMap, path) -> None:
@@ -182,7 +194,7 @@ def threshold(dmap: DensityMap, level: float) -> DensityMap:
     """Zero all voxels with value below `level`."""
     if not np.isfinite(level):
         raise ValueError(f"threshold: level must be finite, got {level}")
-    return replace(dmap, data=np.where(dmap.data < level, 0.0, dmap.data))
+    return replace(dmap, data=_handed_over(np.where(dmap.data < level, 0.0, dmap.data)))
 
 
 def dust(dmap: DensityMap, min_size: int) -> DensityMap:
@@ -196,7 +208,7 @@ def dust(dmap: DensityMap, min_size: int) -> DensityMap:
     sizes = np.bincount(labels.ravel())
     small = sizes < min_size
     small[0] = False
-    return replace(dmap, data=np.where(small[labels], 0.0, dmap.data))
+    return replace(dmap, data=_handed_over(np.where(small[labels], 0.0, dmap.data)))
 
 
 def crop_pad(dmap: DensityMap, level: float, pad: int) -> DensityMap:
@@ -221,7 +233,7 @@ def crop_pad(dmap: DensityMap, level: float, pad: int) -> DensityMap:
     dst_hi = dst_lo + (src_hi - src_lo)
     out[dst_lo[0]:dst_hi[0] + 1, dst_lo[1]:dst_hi[1] + 1, dst_lo[2]:dst_hi[2] + 1] = \
         dmap.data[src_lo[0]:src_hi[0] + 1, src_lo[1]:src_hi[1] + 1, src_lo[2]:src_hi[2] + 1]
-    return replace(dmap, data=out, origin=dmap.origin + lo * dmap.voxel_size)
+    return replace(dmap, data=_handed_over(out), origin=dmap.origin + lo * dmap.voxel_size)
 
 
 def mask_near_model(dmap: DensityMap, model, radius: float) -> DensityMap:
@@ -236,4 +248,5 @@ def mask_near_model(dmap: DensityMap, model, radius: float) -> DensityMap:
     for _, box, flat, _, d2 in stencils(coords, dmap.origin, dmap.voxel_size,
                                         dmap.data.shape, radius):
         keep[flat[box & (d2 <= r2)]] = True
-    return replace(dmap, data=np.where(keep.reshape(dmap.data.shape), dmap.data, 0.0))
+    return replace(dmap, data=_handed_over(
+        np.where(keep.reshape(dmap.data.shape), dmap.data, 0.0)))

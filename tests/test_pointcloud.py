@@ -1,6 +1,7 @@
 """Weighted k-means point-cloud extraction tests."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,10 @@ class TestPointCloud:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="non-finite weights"):
                 PointCloud(np.zeros((2, 3)), np.array([bad, 1.0]))
+        with warnings.catch_warnings():     # a sum that overflows, quietly
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive sum.*sum finite; got sum inf"):
+                PointCloud(np.zeros((2, 3)), np.array([1e308, 1e308]))
 
 
 class TestClusterCount:

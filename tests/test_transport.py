@@ -862,7 +862,8 @@ class TestGradient:
         (np.zeros((2, 0, 3)), r"got shape \(2, 0, 3\)"),
         (np.array([np.zeros((4, 3)), np.full((4, 3), np.nan)]),
          "point cloud contains non-finite coordinates"),
-        (np.array([np.full((4, 3), np.inf)]), "point cloud contains non-finite coordinates")])
+        (np.array([np.full((4, 3), np.inf)]), "point cloud contains non-finite coordinates")],
+        ids=["unstacked", "two-columns", "no-clouds", "empty-clouds", "nan-row", "inf-cloud"])
     def test_rejects_bad_stacks_before_any_solve(self, monkeypatch, X, message):
         def no_solve(*args):
             raise AssertionError("solved before the stack was checked")

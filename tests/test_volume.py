@@ -6,6 +6,7 @@ The reader is checked against byte fixtures assembled by hand in the tests
 
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,6 +253,14 @@ class TestDensityMap:
         with pytest.raises(ValueError):
             m.data[0, 0, 0] = 1.0
         given[0, 0, 0] = 1.0    # the caller's array stays writable
+        assert m.data[0, 0, 0] == 0.0   # and the map does not see the write
+
+    def test_read_only_data_kept_without_a_copy(self):
+        given = np.zeros((2, 2, 2))
+        given.setflags(write=False)
+        m = DensityMap(data=given, voxel_size=1.0)
+        assert m.data is given
+        assert replace(m, origin=np.ones(3)).data is given
 
     def test_data_stored_c_contiguous(self, rng):
         values = rng.standard_normal((3, 4, 5))
